@@ -5,55 +5,47 @@ between them crosses a 1-edge; the directed variant draws the arc (x, y)
 whenever a 1-edge lies between lca(x, y) and y.  Ignoring arc directions
 in the directed graph gives back the undirected one.
 
-Both computations run one rooted traversal that counts 1-edges above each
-vertex; a pair query then reduces to count arithmetic at the pair's least
-common ancestor.
+Neither graph needs a per-pair walk.  Deleting every 1-edge splits the
+tree into 0-components; two leaves are non-adjacent exactly when they
+share one, so the undirected graph is the complete multipartite graph on
+the 0-components' leaf sets.  For the directed graph let top(y) be the
+child end of the lowest 1-edge on the root-to-y path: (x, y) is an arc
+exactly when top(y) exists and x is not below it.  One depth-first pass
+lists the leaves so that every subtree's leaves form an interval, which
+makes the arcs into y two slices of that list.  Both functions cost
+O(vertices + output).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations, permutations
+from itertools import repeat
 
-from .graphs import DirectedGraph, SimpleGraph
+from .graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from .tree import LabeledTree
 
 
-def _rooted_scan(tree: LabeledTree, root: int) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """BFS from *root*: (parent, depth, ones) with ones[v] = #1-edges on root..v."""
-    parent = {root: root}
-    depth = {root: 0}
-    ones = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, lab in tree.adjacency[x].items():
-            if y not in parent:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                ones[y] = ones[x] + lab
-                queue.append(y)
-    return parent, depth, ones
-
-
-def _lca_from_scan(parent: dict[int, int], depth: dict[int, int], a: int, b: int) -> int:
-    while depth[a] > depth[b]:
-        a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-    return a
-
-
-def _pick_root(tree: LabeledTree) -> int:
-    if tree.root is not None:
-        return tree.root
-    internal = [v for v in tree.vertices if not tree.is_leaf(v)]
-    if internal:
-        return min(internal)
-    return min(tree.vertices)  # at most two vertices, both leaves
+def _zero_blocks(tree: LabeledTree) -> list[list[str]]:
+    """Leaf names of each 0-component that has a leaf, in no fixed order."""
+    names = tree.leaf_names
+    adjacency = tree.adjacency
+    seen: set[int] = set()
+    blocks = []
+    for start in names:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        block = []
+        while stack:
+            v = stack.pop()
+            if v in names:
+                block.append(names[v])
+            for w, lab in adjacency[v].items():
+                if not lab and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        blocks.append(block)
+    return blocks
 
 
 def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
@@ -62,32 +54,40 @@ def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
     Works on rooted and unrooted trees alike; the result does not depend on
     the root.  A single-leaf tree yields the one-vertex graph.
     """
-    root = _pick_root(tree)
-    parent, depth, ones = _rooted_scan(tree, root)
-    leaves = tree.leaves
-    names = frozenset(tree.leaf_names.values())
-    edges = set()
-    for a, b in combinations(leaves, 2):
-        w = _lca_from_scan(parent, depth, a, b)
-        if ones[a] + ones[b] - 2 * ones[w] > 0:
-            x, y = tree.leaf_names[a], tree.leaf_names[b]
-            edges.add((x, y) if x < y else (y, x))
-    return SimpleGraph(names, frozenset(edges))
+    return complete_multipartite(_zero_blocks(tree))
 
 
 def directed_fitch(tree: LabeledTree) -> DirectedGraph:
     """Digraph with arc (x, y) iff a 1-edge lies on the lca(x, y) .. y path."""
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")
-    parent, depth, ones = _rooted_scan(tree, tree.root)
-    leaves = tree.leaves
-    names = frozenset(tree.leaf_names.values())
-    arcs = set()
-    for a, b in permutations(leaves, 2):
-        w = _lca_from_scan(parent, depth, a, b)
-        if ones[b] - ones[w] > 0:
-            arcs.add((tree.leaf_names[a], tree.leaf_names[b]))
-    return DirectedGraph(names, frozenset(arcs))
+    names = tree.leaf_names
+    adjacency = tree.adjacency
+    order: list[str] = []  # leaf names in DFS order
+    first: dict[int, int] = {}  # subtree of v holds the leaves order[first[v]:last[v]]
+    last: dict[int, int] = {}
+    targets: list[tuple[str, int]] = []  # (leaf y, top(y)) for every y with a top
+    # Entries are (vertex, parent, top); (v, v, None) closes v's interval.
+    stack: list[tuple[int, int | None, int | None]] = [(tree.root, None, None)]
+    while stack:
+        v, parent, top = stack.pop()
+        if v == parent:
+            last[v] = len(order)
+            continue
+        first[v] = len(order)
+        if v in names:
+            order.append(names[v])
+            if top is not None:
+                targets.append((names[v], top))
+        stack.append((v, v, None))
+        for w, lab in adjacency[v].items():
+            if w != parent:
+                stack.append((w, v, w if lab else top))
+    arcs: set[tuple[str, str]] = set()
+    for y, top in targets:
+        arcs.update(zip(order[: first[top]], repeat(y)))
+        arcs.update(zip(order[last[top] :], repeat(y)))
+    return DirectedGraph(frozenset(names.values()), frozenset(arcs))
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:

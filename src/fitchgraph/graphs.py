@@ -104,10 +104,12 @@ def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
         if verts & b:
             raise ValueError("blocks are not disjoint")
         verts |= b
-    edges = set()
-    for i, bi in enumerate(block_list):
-        for bj in block_list[i + 1 :]:
-            for x in bi:
-                for y in bj:
-                    edges.add(_pair(x, y))
+    # Join each vertex to every vertex of the blocks before its own: one
+    # step per vertex and per edge, whatever the block sizes.
+    edges: set[tuple[str, str]] = set()
+    earlier: list[str] = []
+    for b in block_list:
+        for x in b:
+            edges.update([(x, y) if x < y else (y, x) for y in earlier])
+        earlier += b
     return SimpleGraph(frozenset(verts), frozenset(edges))

@@ -208,7 +208,8 @@ def parse_edgelist(text: str) -> SimpleGraph:
             if not line.startswith("vertices:"):
                 raise ParseError("expected 'vertices:' header line", line=lineno)
             vertices = line[len("vertices:"):].split()
-            if len(set(vertices)) != len(vertices):
+            known = set(vertices)
+            if len(known) != len(vertices):
                 raise ParseError("duplicate vertex name", line=lineno)
             continue
         parts = line.split()
@@ -216,7 +217,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
             raise ParseError("expected two endpoint names", line=lineno)
         x, y = parts
         for end in (x, y):
-            if end not in vertices:
+            if end not in known:
                 raise ParseError(f"unknown endpoint {end!r}", line=lineno)
         if x == y:
             raise ParseError(f"self-loop at {x!r}", line=lineno)
@@ -229,17 +230,33 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph(frozenset(vertices), frozenset(edges))
 
 
-def serialize_edgelist(g: SimpleGraph) -> str:
-    lines = ["vertices: " + " ".join(sorted(g.vertices))]
-    lines += [f"{x} {y}" for x, y in sorted(g.edges)]
+def _pair_lines(vertices: frozenset[str], pairs: frozenset[tuple[str, str]]) -> str:
+    """The ``vertices:`` line, then one ``x y`` line per pair in sorted order.
+
+    Pairs are bucketed by their first name and only each bucket is sorted,
+    which gives the order of ``sorted(pairs)`` without sorting them all.
+    """
+    names = sorted(vertices)
+    after: dict[str, list[str]] = {x: [] for x in names}
+    for x, y in pairs:
+        after[x].append(y)
+    lines = ["vertices: " + " ".join(names)]
+    for x in names:
+        ys = after[x]
+        if ys:
+            ys.sort()
+            head = x + " "
+            lines.append(head + ("\n" + head).join(ys))
     return "\n".join(lines) + "\n"
+
+
+def serialize_edgelist(g: SimpleGraph) -> str:
+    return _pair_lines(g.vertices, g.edges)
 
 
 def serialize_arclist(d: DirectedGraph) -> str:
     """Arc-per-line rendering of a digraph (same layout as edge lists)."""
-    lines = ["vertices: " + " ".join(sorted(d.vertices))]
-    lines += [f"{x} {y}" for x, y in sorted(d.arcs)]
-    return "\n".join(lines) + "\n"
+    return _pair_lines(d.vertices, d.arcs)
 
 
 # --------------------------------------------------------------------------

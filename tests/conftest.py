@@ -165,6 +165,18 @@ def random_tree(rng: random.Random, names: list[str], p_one: float = 0.4) -> Lab
     return LabeledTree.build(triples, leaf_names)
 
 
+def caterpillar(rng: random.Random, names: list[str], p_one: float = 0.4) -> LabeledTree:
+    """A path of len(names) - 2 inner vertices with one leaf hung on each and
+    one more on each end, random labels, rooted at one end of the path."""
+    assert len(names) >= 3
+    n = len(names)
+    spine = list(range(n, 2 * n - 2))
+    hosts = [spine[0]] + spine + [spine[-1]]
+    triples = [(a, b, int(rng.random() < p_one)) for a, b in zip(spine, spine[1:])]
+    triples += [(host, leaf, int(rng.random() < p_one)) for leaf, host in enumerate(hosts)]
+    return LabeledTree.build(triples, dict(enumerate(names)), root=spine[0])
+
+
 def random_graph(rng: random.Random, names: list[str], p: float) -> SimpleGraph:
     edges = frozenset(
         (x, y) for x, y in combinations(sorted(names), 2) if rng.random() < p

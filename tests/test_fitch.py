@@ -10,7 +10,14 @@ from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree
 from fitchgraph.tree import LabeledTree, reroot, restrict_leaves, suppress_degree2
 
-from conftest import directed_fitch_bruteforce, fitch_bruteforce, random_tree
+from conftest import caterpillar, directed_fitch_bruteforce, fitch_bruteforce, random_tree
+
+
+def fixed_oracle_inputs(rng):
+    """The two-vertex tree rooted at a leaf, and deep caterpillars rooted at an end."""
+    trees = [LabeledTree.build([(0, 1, lab)], {0: "a", 1: "b"}, root=0) for lab in (0, 1)]
+    trees += [caterpillar(rng, [f"c{i}" for i in range(n)]) for n in (60, 300)]
+    return trees
 
 
 def star3(*labels):
@@ -56,6 +63,8 @@ class TestUndirectedFitch:
         for _ in range(40):
             t = random_tree(rng, names)
             assert undirected_fitch(t) == fitch_bruteforce(t)
+        for t in fixed_oracle_inputs(rng):
+            assert undirected_fitch(t) == fitch_bruteforce(t)
 
 
 class TestDirectedFitch:
@@ -89,8 +98,11 @@ class TestDirectedFitch:
         names = [f"l{i}" for i in range(7)]
         for _ in range(30):
             t = random_tree(rng, names)
-            root = min(v for v in t.vertices if not t.is_leaf(v))
-            t = reroot(t, root)
+            for v in sorted(t.vertices):
+                if not t.is_leaf(v):
+                    rooted = reroot(t, v)
+                    assert directed_fitch(rooted).arcs == frozenset(directed_fitch_bruteforce(rooted))
+        for t in fixed_oracle_inputs(rng):
             assert directed_fitch(t).arcs == frozenset(directed_fitch_bruteforce(t))
 
 

@@ -159,6 +159,13 @@ class TestEdgeList:
     def test_serialize_p3_canonical(self):
         g = SimpleGraph.build("abc", [("b", "c"), ("b", "a")])
         assert serialize_edgelist(g) == "vertices: a b c\na b\nb c\n"
+        # names that are prefixes of one another; pairs in sorted(pairs) order
+        g = SimpleGraph.build(
+            ["b", "ab", "a1", "a"], [("b", "a"), ("ab", "a"), ("a1", "b"), ("ab", "a1"), ("b", "ab")]
+        )
+        text = serialize_edgelist(g)
+        assert text == "vertices: a a1 ab b\na ab\na b\na1 ab\na1 b\nab b\n"
+        assert text == "vertices: a a1 ab b\n" + "".join(f"{x} {y}\n" for x, y in sorted(g.edges))
 
     def test_round_trip_idempotent(self, rng):
         from conftest import random_graph
@@ -237,6 +244,13 @@ class TestDot:
     def test_arclist(self):
         d = DirectedGraph.build("ab", [("b", "a")])
         assert serialize_arclist(d) == "vertices: a b\nb a\n"
+        # arcs both ways between names that are prefixes of one another
+        d = DirectedGraph.build(
+            ["ab", "a", "b", "a1"], [("ab", "a"), ("a", "ab"), ("b", "a1"), ("a1", "b"), ("a1", "a"), ("b", "ab")]
+        )
+        text = serialize_arclist(d)
+        assert text == "vertices: a a1 ab b\na ab\na1 a\na1 b\nab a\nb a1\nb ab\n"
+        assert text == "vertices: a a1 ab b\n" + "".join(f"{x} {y}\n" for x, y in sorted(d.arcs))
 
 
 MUTATION_ALPHABET = "abcxyz01(),:;# \n-v"
