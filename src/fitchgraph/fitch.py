@@ -24,8 +24,8 @@ from .graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from .tree import LabeledTree
 
 
-def _zero_blocks(tree: LabeledTree) -> list[list[str]]:
-    """Leaf names of each 0-component that has a leaf, in no fixed order."""
+def zero_blocks(tree: LabeledTree) -> tuple[list[list[str]], set[int]]:
+    """Leaf names of each 0-component that has a leaf, and all those components' vertices."""
     names = tree.leaf_names
     adjacency = tree.adjacency
     seen: set[int] = set()
@@ -45,7 +45,7 @@ def _zero_blocks(tree: LabeledTree) -> list[list[str]]:
                     seen.add(w)
                     stack.append(w)
         blocks.append(block)
-    return blocks
+    return blocks, seen
 
 
 def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
@@ -54,7 +54,7 @@ def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
     Works on rooted and unrooted trees alike; the result does not depend on
     the root.  A single-leaf tree yields the one-vertex graph.
     """
-    return complete_multipartite(_zero_blocks(tree))
+    return complete_multipartite(zero_blocks(tree)[0])
 
 
 def directed_fitch(tree: LabeledTree) -> DirectedGraph:

@@ -230,21 +230,23 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph(frozenset(vertices), frozenset(edges))
 
 
-def _pair_lines(vertices: frozenset[str], pairs: frozenset[tuple[str, str]]) -> str:
-    """The ``vertices:`` line, then one ``x y`` line per pair in sorted order.
-
-    Pairs are bucketed by their first name and only each bucket is sorted,
-    which gives the order of ``sorted(pairs)`` without sorting them all.
-    """
-    names = sorted(vertices)
+def _pair_buckets(names: list[str], pairs: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
+    """Map each of the sorted *names* to the sorted second names of its pairs;
+    read in order, that is ``sorted(pairs)`` without one sort over all pairs."""
     after: dict[str, list[str]] = {x: [] for x in names}
     for x, y in pairs:
         after[x].append(y)
+    for ys in after.values():
+        ys.sort()
+    return after
+
+
+def _pair_lines(vertices: frozenset[str], pairs: frozenset[tuple[str, str]]) -> str:
+    """The ``vertices:`` line, then one ``x y`` line per pair in sorted order."""
+    names = sorted(vertices)
     lines = ["vertices: " + " ".join(names)]
-    for x in names:
-        ys = after[x]
+    for x, ys in _pair_buckets(names, pairs).items():
         if ys:
-            ys.sort()
             head = x + " "
             lines.append(head + ("\n" + head).join(ys))
     return "\n".join(lines) + "\n"
@@ -270,16 +272,15 @@ def _dot_quote(s: str) -> str:
 
 def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
     """Graphviz text for a graph, digraph, or labeled tree."""
-    if isinstance(obj, SimpleGraph):
-        lines = ["graph {"]
-        lines += [f"  {_dot_quote(v)};" for v in sorted(obj.vertices)]
-        lines += [f"  {_dot_quote(x)} -- {_dot_quote(y)};" for x, y in sorted(obj.edges)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, DirectedGraph):
-        lines = ["digraph {"]
-        lines += [f"  {_dot_quote(v)};" for v in sorted(obj.vertices)]
-        lines += [f"  {_dot_quote(x)} -> {_dot_quote(y)};" for x, y in sorted(obj.arcs)]
+    if isinstance(obj, (SimpleGraph, DirectedGraph)):
+        directed = isinstance(obj, DirectedGraph)
+        names = sorted(obj.vertices)
+        quoted = {v: _dot_quote(v) for v in names}
+        lines = ["digraph {" if directed else "graph {"]
+        lines += [f"  {quoted[v]};" for v in names]
+        for x, ys in _pair_buckets(names, obj.arcs if directed else obj.edges).items():
+            head = f"  {quoted[x]} {'->' if directed else '--'} "
+            lines += [f"{head}{quoted[y]};" for y in ys]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, LabeledTree):

@@ -2,12 +2,12 @@
 
 A graph is an undirected Fitch graph exactly when it is complete
 multipartite, i.e. when no three vertices induce an isolated vertex plus
-an edge.  :func:`recognize` decides this in near-linear time and returns
-either the partition into maximal independent sets or a three-vertex
-witness of failure.  :func:`recognize_bruteforce` reaches the same verdict
-by evaluating the forbidden-triple predicate over all triples (through
-boolean matrix arithmetic), and serves as the independent oracle for the
-fast path.
+an edge.  :func:`recognize` decides this (in linear time when it accepts)
+and returns either the partition into maximal independent sets or the
+smallest three-vertex witness of failure.  :func:`recognize_bruteforce`
+reaches the same verdict by evaluating the forbidden-triple predicate
+over all triples (through boolean matrix arithmetic), and serves as the
+independent oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -89,7 +89,12 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     count reaches the cross-group maximum sum(n_i * n_j).
 
     On failure returns the lexicographically smallest witness triple.
-    Runs in O(|V| + |E|) expected time on acceptance.
+    Acceptance runs in O(|V| + |E|) expected time.  Rejection visits the k
+    classes by smallest member at O(k + |E|) each; those passed over are
+    pairwise joined, so there are O(sqrt(|E|)) visits.  With the pair
+    search that is O(|V| log |V| + (|V| + |E|) sqrt(|E|)) at worst, and
+    O(|V| log |V| + |E|) after adding or removing one edge of a complete
+    multipartite graph, where few classes are non-neighbors of another.
     """
     if not g.vertices:
         raise ValueError("empty graph")
@@ -100,35 +105,28 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     cross_pairs = (n * n - sum(len(b) * len(b) for b in groups.values())) // 2
     if len(g.edges) == cross_pairs:
         return Partition.canonical(groups.values())
-    return _smallest_witness(g)
+    return _class_witness(g, groups)
 
 
-def _smallest_witness(g: SimpleGraph) -> ForbiddenWitness:
+def _class_witness(g: SimpleGraph, groups: dict[frozenset[str], list[str]]) -> ForbiddenWitness:
     """Lexicographically smallest (isolated, pair) triple inducing K1+K2.
 
-    Adjacency is packed into per-vertex integer bitmasks over the sorted
-    vertex list; candidate isolated vertices are scanned in order and the
-    smallest edge avoiding their closed neighborhood is located by mask
-    intersection.  Only runs on rejected graphs.
+    Vertex i can be the isolated vertex iff some non-neighbor has a
+    neighbor outside N(i), which holds for all of i's class or none, so the
+    first passing class by smallest member holds the answer.  The superset
+    test stops at once when the other neighborhood is the larger.  Failing
+    classes are pairwise joined, or their neighborhoods would coincide.
     """
-    names = sorted(g.vertices)
-    index = {name: i for i, name in enumerate(names)}
-    masks = [0] * len(names)
-    for x, y in g.edges:
-        i, j = index[x], index[y]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    full = (1 << len(names)) - 1
-    for i in range(len(names)):
-        candidates = full & ~masks[i] & ~(1 << i)
-        rest = candidates
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            partners = masks[j] & candidates & ~((1 << (j + 1)) - 1)
-            if partners:
-                k = (partners & -partners).bit_length() - 1
-                return ForbiddenWitness.make(names[i], names[j], names[k])
-            rest &= rest - 1
+    classes = sorted([(min(members), nbrs) for nbrs, members in groups.items()])
+    for i, nbrs in classes:
+        if not all(map(nbrs.issuperset, [other for _, other in classes if i not in other])):
+            break
+    # The first j with a neighbor outside N(i) is the smaller end of the
+    # smallest pair, as a smaller such neighbor would come first; i has none.
+    for j in sorted(g.vertices - nbrs):
+        ks = g.adjacency[j] - nbrs
+        if ks:
+            return ForbiddenWitness.make(i, j, min(ks))
     raise AssertionError("witness search on a complete multipartite graph")
 
 

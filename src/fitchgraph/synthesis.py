@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .fitch import undirected_fitch
+from .fitch import undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
 from .recognition import ForbiddenWitness, Partition, recognize
 from .tree import LabeledTree, contract_edge
@@ -88,14 +88,15 @@ def is_least_resolved(tree: LabeledTree, g: SimpleGraph) -> bool:
 
     Edges incident to leaves are not contractible (that would delete a
     vertex of the graph), so a tree without inner edges is vacuously
-    least-resolved.
+    least-resolved.  Contracting a 0-edge keeps every path's label OR; a
+    1-edge joins two 0-components, changing the graph iff both hold a leaf.
     """
     if undirected_fitch(tree) != g:
         raise ValueError("tree does not explain graph")
-    for e in tree.inner_edges():
-        if undirected_fitch(contract_edge(tree, e)) == g:
-            return False
-    return True
+    _, leafy = zero_blocks(tree)
+    return all(
+        tree.edge_labels[e] and e[0] in leafy and e[1] in leafy for e in tree.inner_edges()
+    )
 
 
 def explain(g: SimpleGraph, mode: str = "canonical") -> Union[LabeledTree, ForbiddenWitness]:

@@ -2,10 +2,11 @@
 
 The oracles here deliberately take different routes than the library:
 path label ORs are recomputed by walking explicit edge paths, multipartite
-membership is re-decided through complement components, Bell numbers come
-from the binomial recurrence instead of the Bell triangle, and topology
-counts from the rooted series-reduced tree recurrence.  Agreement between
-routes is what the tests assert.
+membership is re-decided through complement components, least-resolution
+by contracting every inner edge, Bell numbers come from the binomial
+recurrence instead of the Bell triangle, and topology counts from the
+rooted series-reduced tree recurrence.  Agreement between routes is
+what the tests assert.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 import pytest
 
 from fitchgraph.graphs import SimpleGraph
-from fitchgraph.tree import Edge, LabeledTree, edge_key
+from fitchgraph.tree import Edge, LabeledTree, contract_edge, edge_key
 
 
 # -- independent oracles ----------------------------------------------------
@@ -81,6 +82,12 @@ def directed_fitch_bruteforce(tree: LabeledTree) -> set[tuple[str, str]]:
             if any(tree.label(u, v) for u, v in zip(lca_to_b, lca_to_b[1:])):
                 arcs.add((tree.leaf_names[a], tree.leaf_names[b]))
     return arcs
+
+
+def least_resolved_by_contraction(tree: LabeledTree, g: SimpleGraph) -> bool:
+    """Least-resolved by definition: contract each inner edge in turn and
+    check that the per-pair Fitch graph of the result is no longer *g*."""
+    return all(fitch_bruteforce(contract_edge(tree, e)) != g for e in tree.inner_edges())
 
 
 def multipartite_via_complement(g: SimpleGraph) -> bool:

@@ -241,6 +241,27 @@ class TestDot:
         g = SimpleGraph.build("abcd", [("d", "a"), ("c", "b")])
         assert to_dot(g) == to_dot(SimpleGraph.build("abcd", [("b", "c"), ("a", "d")]))
 
+    def test_golden_prefix_names(self):
+        # names that are prefixes of one another; pairs in sorted(pairs) order
+        g = SimpleGraph.build(
+            ["b", "ab", "a1", "a"], [("b", "a"), ("ab", "a"), ("a1", "b"), ("ab", "a1"), ("b", "ab")]
+        )
+        text = to_dot(g)
+        assert text == (
+            'graph {\n  "a";\n  "a1";\n  "ab";\n  "b";\n'
+            '  "a" -- "ab";\n  "a" -- "b";\n  "a1" -- "ab";\n  "a1" -- "b";\n  "ab" -- "b";\n}\n'
+        )
+        assert text.endswith("".join(f'  "{x}" -- "{y}";\n' for x, y in sorted(g.edges)) + "}\n")
+        d = DirectedGraph.build(
+            ["ab", "a", "b", "a1"], [("ab", "a"), ("a", "ab"), ("b", "a1"), ("a1", "b"), ("a1", "a"), ("b", "ab")]
+        )
+        text = to_dot(d)
+        assert text == (
+            'digraph {\n  "a";\n  "a1";\n  "ab";\n  "b";\n'
+            '  "a" -> "ab";\n  "a1" -> "a";\n  "a1" -> "b";\n  "ab" -> "a";\n  "b" -> "a1";\n  "b" -> "ab";\n}\n'
+        )
+        assert text.endswith("".join(f'  "{x}" -> "{y}";\n' for x, y in sorted(d.arcs)) + "}\n")
+
     def test_arclist(self):
         d = DirectedGraph.build("ab", [("b", "a")])
         assert serialize_arclist(d) == "vertices: a b\nb a\n"

@@ -108,12 +108,21 @@ class TestAgreement:
                 third = multipartite_via_complement(g)
                 assert isinstance(fast, Partition) == isinstance(slow, Partition)
                 assert isinstance(fast, Partition) == third
+                assert fast == slow  # witnesses too: both are the smallest
                 if isinstance(fast, Partition):
-                    assert fast == slow
                     assert_valid_partition(g, fast)
                 else:
                     assert_valid_witness(g, fast)
-                    assert_valid_witness(g, slow)
+
+    def test_exhaustive_six_vertex_witnesses(self):
+        # Every labeled graph on 6 vertices: the same verdict and the same
+        # lexicographically smallest witness from both recognizers.
+        rejected = 0
+        for g in all_graphs("abcdef"):
+            fast = recognize(g)
+            assert fast == recognize_bruteforce(g)
+            rejected += isinstance(fast, ForbiddenWitness)
+        assert rejected == 2 ** 15 - 203  # Bell(6) graphs are multipartite
 
     def test_random_graphs(self, rng):
         names = [f"v{i:03d}" for i in range(60)]
@@ -121,10 +130,9 @@ class TestAgreement:
             g = random_graph(rng, names, rng.choice([0.1, 0.3, 0.5, 0.8]))
             fast = recognize(g)
             slow = recognize_bruteforce(g)
-            assert isinstance(fast, Partition) == isinstance(slow, Partition)
+            assert fast == slow
             if isinstance(fast, ForbiddenWitness):
                 assert_valid_witness(g, fast)
-                assert_valid_witness(g, slow)
 
     def test_random_multipartite_accepted(self, rng):
         for trial in range(60):
@@ -149,7 +157,7 @@ class TestAgreement:
             fast = recognize(smaller)
             assert isinstance(fast, ForbiddenWitness)
             assert_valid_witness(smaller, fast)
-            assert isinstance(recognize_bruteforce(smaller), ForbiddenWitness)
+            assert recognize_bruteforce(smaller) == fast
 
     def test_isolated_vertices_merge_into_one_block(self):
         g = graph("abcd", [])

@@ -16,6 +16,8 @@ from fitchgraph.recognition import ForbiddenWitness, Partition, recognize
 from fitchgraph.synthesis import canonical_tree, explain, is_least_resolved, minimal_tree
 from fitchgraph.tree import validate
 
+from conftest import least_resolved_by_contraction, subdivide_edge
+
 
 def part(*blocks):
     return Partition.canonical(blocks)
@@ -157,6 +159,24 @@ class TestLeastResolved:
                     for labeled in edge_labelings(topo):
                         if undirected_fitch(labeled) == g:
                             assert is_least_resolved(labeled, g)
+
+    def test_agrees_with_contraction_oracle(self):
+        # Every labeled tree on 2-5 leaves; on 3-4 leaves also every tree
+        # with one edge subdivided, which puts a degree-2 vertex inside.
+        checked = 0
+        for n in range(2, 6):
+            for topo in enumerate_trees(n):
+                for labeled in edge_labelings(topo):
+                    variants = [labeled]
+                    if n in (3, 4):
+                        for e, lab in labeled.edge_labels.items():
+                            for lab1, lab2 in ((0, 0),) if lab == 0 else ((1, 0), (0, 1), (1, 1)):
+                                variants.append(subdivide_edge(labeled, e, lab1, lab2))
+                    for t in variants:
+                        g = undirected_fitch(t)
+                        assert is_least_resolved(t, g) == least_resolved_by_contraction(t, g)
+                    checked += 1
+        assert checked == 2714
 
 
 class TestExplain:
