@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import enumeration, io
-from .fitch import directed_fitch, undirected_fitch
+from .fitch import directed_fitch, explains, undirected_fitch
 from .graphs import SimpleGraph
 from .recognition import ForbiddenWitness, Partition, recognize
 from .synthesis import explain, is_least_resolved
@@ -91,9 +91,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree)
     graph = _load_graph(args.graph)
-    explains = undirected_fitch(tree) == graph
-    print(f"explains: {'yes' if explains else 'no'}")
-    if not explains:
+    yes = explains(tree, graph)
+    print(f"explains: {'yes' if yes else 'no'}")
+    if not yes:
         return 1
     if args.least_resolved:
         least = is_least_resolved(tree, graph)

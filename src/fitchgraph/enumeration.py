@@ -19,7 +19,7 @@ from itertools import combinations, product
 from string import ascii_lowercase
 from typing import Iterator, Sequence
 
-from .fitch import undirected_fitch
+from .fitch import explains, undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
 from .recognition import Partition, recognize
 from .tree import Edge, LabeledTree
@@ -64,21 +64,13 @@ def _split_key(tree: LabeledTree) -> frozenset[frozenset[str]]:
     """Canonical identity of a topology: the leaf bipartitions of its edges."""
     all_names = tree.leaf_name_set
     anchor = min(all_names)
+    walk = tree.walk
+    order, span = walk.leaf_spans
     splits = set()
     for u, v in tree.edge_labels:
-        # leaves on v's side of the edge (u, v)
-        side: set[str] = set()
-        stack = [(v, u)]
-        while stack:
-            cur, block = stack.pop()
-            if tree.is_leaf(cur):
-                side.add(tree.leaf_names[cur])
-            for nxt in tree.adjacency[cur]:
-                if nxt != block:
-                    stack.append((nxt, cur))
-        if anchor in side:
-            side = set(all_names) - side
-        splits.add(frozenset(side))
+        lo, hi = span[v if walk.parent[v] == u else u]
+        side = frozenset(order[lo:hi])
+        splits.add(all_names - side if anchor in side else side)
     return frozenset(splits)
 
 
@@ -153,17 +145,19 @@ def realizable_graphs(n: int) -> EnumerationReport:
     if not 2 <= n <= MAX_REALIZABLE_LEAVES:
         raise ValueError(f"n out of supported range 2..{MAX_REALIZABLE_LEAVES}")
     topologies = enumerate_trees(n)
-    realized: set[SimpleGraph] = set()
+    # one labeled tree per realized leaf partition; its graph is built at the end
+    realized: dict[frozenset[frozenset[str]], LabeledTree] = {}
     labelings = 0
     for topo in topologies:
         for labeled in edge_labelings(topo):
             labelings += 1
-            realized.add(undirected_fitch(labeled))
+            blocks = frozenset(map(frozenset, zero_blocks(labeled).values()))
+            realized.setdefault(blocks, labeled)
     return EnumerationReport(
         leaf_count=n,
         topology_count=len(topologies),
         labeling_count=labelings,
-        realizable_graphs=frozenset(realized),
+        realizable_graphs=frozenset(map(undirected_fitch, realized.values())),
         expected_count=bell_number(n),
     )
 
@@ -220,7 +214,7 @@ def minimum_tree_size(g: SimpleGraph) -> int:
     for size in sorted(by_size):
         for topo in by_size[size]:
             for labeled in edge_labelings(topo):
-                if undirected_fitch(labeled) == g:
+                if explains(labeled, g):
                     return size
     raise AssertionError("no explaining tree found for a multipartite graph")
 

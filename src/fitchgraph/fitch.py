@@ -5,15 +5,14 @@ between them crosses a 1-edge; the directed variant draws the arc (x, y)
 whenever a 1-edge lies between lca(x, y) and y.  Ignoring arc directions
 in the directed graph gives back the undirected one.
 
-Neither graph needs a per-pair walk.  Deleting every 1-edge splits the
-tree into 0-components; two leaves are non-adjacent exactly when they
-share one, so the undirected graph is the complete multipartite graph on
-the 0-components' leaf sets.  For the directed graph let top(y) be the
-child end of the lowest 1-edge on the root-to-y path: (x, y) is an arc
-exactly when top(y) exists and x is not below it.  One depth-first pass
-lists the leaves so that every subtree's leaves form an interval, which
-makes the arcs into y two slices of that list.  Both functions cost
-O(vertices + output).
+Neither graph needs a per-pair walk.  Both read the tree's one rooted
+walk, :attr:`fitchgraph.tree.LabeledTree.walk`, which names the
+0-component of each vertex (what is left around it once every 1-edge is
+deleted) by its highest vertex, top(v).  Two leaves are non-adjacent
+exactly when they share a top, so the undirected graph is the complete
+multipartite graph on the 0-components' leaf sets.  (x, y) is an arc
+exactly when top(y) is not the root and x is not below it: two slices of
+the walk's leaf list.  Both functions cost O(vertices + output).
 """
 
 from __future__ import annotations
@@ -24,28 +23,13 @@ from .graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from .tree import LabeledTree
 
 
-def zero_blocks(tree: LabeledTree) -> tuple[list[list[str]], set[int]]:
-    """Leaf names of each 0-component that has a leaf, and all those components' vertices."""
-    names = tree.leaf_names
-    adjacency = tree.adjacency
-    seen: set[int] = set()
-    blocks = []
-    for start in names:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        block = []
-        while stack:
-            v = stack.pop()
-            if v in names:
-                block.append(names[v])
-            for w, lab in adjacency[v].items():
-                if not lab and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        blocks.append(block)
-    return blocks, seen
+def zero_blocks(tree: LabeledTree) -> dict[int, list[str]]:
+    """Leaf names of each 0-component that holds a leaf, keyed by its top."""
+    top = tree.walk.top
+    blocks: dict[int, list[str]] = {}
+    for v, name in tree.leaf_names.items():
+        blocks.setdefault(top[v], []).append(name)
+    return blocks
 
 
 def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
@@ -54,7 +38,22 @@ def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
     Works on rooted and unrooted trees alike; the result does not depend on
     the root.  A single-leaf tree yields the one-vertex graph.
     """
-    return complete_multipartite(zero_blocks(tree)[0])
+    return complete_multipartite(zero_blocks(tree).values())
+
+
+def explains(tree: LabeledTree, g: SimpleGraph) -> bool:
+    """Whether *g* is the undirected Fitch graph of *tree*, in O(tree + |E|).
+
+    True iff *g* has the leaf names as vertices, no edge inside a block,
+    and as many edges as there are pairs across blocks.
+    """
+    if g.vertices != tree.leaf_name_set:
+        return False
+    top, leaf = tree.walk.top, tree.name_to_leaf
+    if any(top[leaf[x]] == top[leaf[y]] for x, y in g.edges):
+        return False
+    n = len(g.vertices)
+    return 2 * len(g.edges) == n * n - sum(len(b) ** 2 for b in zero_blocks(tree).values())
 
 
 def directed_fitch(tree: LabeledTree) -> DirectedGraph:
@@ -62,31 +61,15 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")
     names = tree.leaf_names
-    adjacency = tree.adjacency
-    order: list[str] = []  # leaf names in DFS order
-    first: dict[int, int] = {}  # subtree of v holds the leaves order[first[v]:last[v]]
-    last: dict[int, int] = {}
-    targets: list[tuple[str, int]] = []  # (leaf y, top(y)) for every y with a top
-    # Entries are (vertex, parent, top); (v, v, None) closes v's interval.
-    stack: list[tuple[int, int | None, int | None]] = [(tree.root, None, None)]
-    while stack:
-        v, parent, top = stack.pop()
-        if v == parent:
-            last[v] = len(order)
-            continue
-        first[v] = len(order)
-        if v in names:
-            order.append(names[v])
-            if top is not None:
-                targets.append((names[v], top))
-        stack.append((v, v, None))
-        for w, lab in adjacency[v].items():
-            if w != parent:
-                stack.append((w, v, w if lab else top))
+    walk = tree.walk
+    order, span = walk.leaf_spans
     arcs: set[tuple[str, str]] = set()
-    for y, top in targets:
-        arcs.update(zip(order[: first[top]], repeat(y)))
-        arcs.update(zip(order[last[top] :], repeat(y)))
+    for v, y in names.items():
+        top = walk.top[v]
+        if top != tree.root:
+            lo, hi = span[top]
+            arcs.update(zip(order[:lo], repeat(y)))
+            arcs.update(zip(order[hi:], repeat(y)))
     return DirectedGraph(frozenset(names.values()), frozenset(arcs))
 
 

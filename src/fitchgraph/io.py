@@ -165,30 +165,36 @@ def serialize_newick(tree: LabeledTree) -> str:
     """
     if tree.root is None:
         raise ValueError("newick serialization requires a rooted tree")
-
-    def min_leaf(v: int, parent: int | None) -> str:
-        if tree.is_leaf(v):
-            return tree.leaf_names[v]
-        return min(
-            min_leaf(w, v) for w in tree.adjacency[v] if w != parent
-        )
-
-    def render(v: int, parent: int | None) -> str:
-        if tree.is_leaf(v) and (parent is not None or tree.degree(v) == 0):
-            return tree.leaf_names[v]
-        children = sorted(
-            (w for w in tree.adjacency[v] if w != parent),
-            key=lambda w: min_leaf(w, v),
-        )
-        inner = ",".join(f"{render(w, v)}:{tree.label(v, w)}" for w in children)
-        return f"({inner})"
-
-    body = render(tree.root, None)
-    if tree.is_leaf(tree.root):
-        if tree.degree(tree.root) == 0:
-            return f"{body};"
-        return f"{body}{tree.leaf_names[tree.root]};"
-    return f"{body}r;"
+    names, adjacency, root = tree.leaf_names, tree.adjacency, tree.root
+    walk = tree.walk
+    key = dict(names)  # smallest leaf name below each vertex, children first
+    for v in reversed(walk.order[1:]):
+        p = walk.parent[v]
+        if p not in key or key[v] < key[p]:
+            key[p] = key[v]
+    # Pop a vertex to open it, a string to emit it.
+    out: list[str] = []
+    stack: list[int | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item in names and (item != root or not adjacency[item]):
+            out.append(names[item])
+        else:
+            out.append("(")
+            stack.append(")")
+            parent = walk.parent[item]
+            children = sorted((w for w in adjacency[item] if w != parent), key=key.get)
+            for i, w in enumerate(reversed(children)):
+                if i:
+                    stack.append(",")
+                stack += [f":{adjacency[item][w]}", w]
+    if root not in names:
+        out.append("r")
+    elif adjacency[root]:
+        out.append(names[root])
+    return "".join(out) + ";"
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .fitch import undirected_fitch, zero_blocks
+# perfbench/tracing.py wraps undirected_fitch through this module's namespace.
+from .fitch import explains, undirected_fitch, zero_blocks  # noqa: F401
 from .graphs import SimpleGraph
 from .recognition import ForbiddenWitness, Partition, recognize
 from .tree import LabeledTree, contract_edge
@@ -91,11 +92,12 @@ def is_least_resolved(tree: LabeledTree, g: SimpleGraph) -> bool:
     least-resolved.  Contracting a 0-edge keeps every path's label OR; a
     1-edge joins two 0-components, changing the graph iff both hold a leaf.
     """
-    if undirected_fitch(tree) != g:
+    if not explains(tree, g):
         raise ValueError("tree does not explain graph")
-    _, leafy = zero_blocks(tree)
+    leafy, top = zero_blocks(tree), tree.walk.top
     return all(
-        tree.edge_labels[e] and e[0] in leafy and e[1] in leafy for e in tree.inner_edges()
+        tree.edge_labels[e] and top[e[0]] in leafy and top[e[1]] in leafy
+        for e in tree.inner_edges()
     )
 
 

@@ -13,7 +13,6 @@ leaves speaks names, not ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -24,6 +23,42 @@ Edge = tuple[int, int]
 def edge_key(u: int, v: int) -> Edge:
     """Normalize an unordered vertex pair to a canonical (min, max) tuple."""
     return (u, v) if u < v else (v, u)
+
+
+@dataclass(frozen=True)
+class Walk:
+    """A depth-first walk of a tree (see :attr:`LabeledTree.walk`).
+
+    Fields
+    ------
+    order      : the vertices in preorder, so every subtree is a run of it
+    parent     : vertex -> its parent; the start vertex maps to None
+    top        : vertex -> the highest vertex of its 0-component, the piece
+                 of the tree around it left after deleting every 1-edge
+    leaf_names : the walked tree's leaf names
+    """
+
+    order: list[int]
+    parent: dict[int, int | None]
+    top: dict[int, int]
+    leaf_names: Mapping[int, str]
+
+    @cached_property
+    def leaf_spans(self) -> tuple[list[str], dict[int, tuple[int, int]]]:
+        """The leaf names in preorder, and vertex v -> (lo, hi) such that
+        the leaves below v are names[lo:hi]."""
+        names: list[str] = []
+        lo: dict[int, int] = {}
+        for v in self.order:
+            lo[v] = len(names)
+            if v in self.leaf_names:
+                names.append(self.leaf_names[v])
+        # A vertex's last child in preorder comes first in reverse and ends its span.
+        hi: dict[int, int] = {}
+        for v in reversed(self.order):
+            hi.setdefault(v, lo[v] + (v in self.leaf_names))
+            hi.setdefault(self.parent[v], hi[v])
+        return names, {v: (lo[v], hi[v]) for v in self.order}
 
 
 @dataclass(frozen=True)
@@ -38,9 +73,9 @@ class LabeledTree:
     leaf_names  : map from leaf vertex id to its unique name
     root        : a vertex id, or None for an unrooted tree
 
-    Instances are immutable; derived structure (adjacency) is cached on
-    first use.  Use :func:`validate` to check the invariants of a tree
-    assembled by hand.
+    Instances are immutable; derived structure (adjacency, walk) is
+    cached on first use.  Use :func:`validate` to check the invariants of
+    a tree assembled by hand.
     """
 
     vertices: frozenset[int]
@@ -81,6 +116,28 @@ class LabeledTree:
         return adj
 
     @cached_property
+    def walk(self) -> Walk:
+        """The one depth-first walk, from the root (else the smallest vertex),
+        that every tree query reads.  Marking vertices as they are pushed
+        ends it on any input; it reaches them all iff the tree is connected.
+        """
+        adjacency = self.adjacency
+        start = min(self.vertices) if self.root is None else self.root
+        order: list[int] = []
+        parent: dict[int, int | None] = {start: None}
+        top = {start: start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w, lab in adjacency[v].items():
+                if w not in parent:
+                    parent[w] = v
+                    top[w] = w if lab else top[v]
+                    stack.append(w)
+        return Walk(order, parent, top, self.leaf_names)
+
+    @cached_property
     def name_to_leaf(self) -> dict[str, int]:
         return {name: v for v, name in self.leaf_names.items()}
 
@@ -95,10 +152,6 @@ class LabeledTree:
 
     def is_leaf(self, v: int) -> bool:
         return v in self.leaf_names
-
-    @property
-    def leaves(self) -> list[int]:
-        return sorted(self.leaf_names)
 
     @property
     def leaf_name_set(self) -> frozenset[str]:
@@ -129,27 +182,16 @@ def validate(tree: LabeledTree) -> str | None:
             return f"edge ({u}, {v}) endpoint is not a vertex"
         if lab not in (0, 1):
             return f"edge label must be 0 or 1 (edge ({u}, {v}) has {lab!r})"
+    if tree.root is not None and tree.root not in tree.vertices:
+        return f"root {tree.root} is not a vertex"
     # connectivity, then acyclicity
-    start = next(iter(tree.vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in tree.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != len(tree.vertices):
+    if len(tree.walk.order) != len(tree.vertices):
         return "not connected"
     if len(tree.edge_labels) != len(tree.vertices) - 1:
         return "contains a cycle"
-    # leaf naming
-    if len(tree.vertices) == 1:
-        only = next(iter(tree.vertices))
-        if only not in tree.leaf_names:
-            return f"unnamed leaf {only}"
+    # leaf naming; a connected tree has a degree-0 vertex only when it is the only one
     for v in tree.vertices:
-        if tree.degree(v) == 1 and v not in tree.leaf_names:
+        if tree.degree(v) <= 1 and v not in tree.leaf_names:
             return f"unnamed leaf {v}"
     for v, name in tree.leaf_names.items():
         if v not in tree.vertices:
@@ -162,8 +204,6 @@ def validate(tree: LabeledTree) -> str | None:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         return f"duplicate leaf name {dup!r}"
-    if tree.root is not None and tree.root not in tree.vertices:
-        return f"root {tree.root} is not a vertex"
     return None
 
 
@@ -191,29 +231,26 @@ def suppress_degree2(tree: LabeledTree) -> LabeledTree:
     doomed = {v for v in tree.vertices if tree.degree(v) == 2}
     if not doomed:
         return tree
-    # Walk each chain once, starting from a surviving endpoint.
+    # Join each survivor to its nearest surviving ancestor.  If the walk
+    # starts at a doomed vertex, the two chains that climb to it join up.
+    parent = tree.walk.parent
     new_edges: dict[Edge, int] = {}
-    for (u, v), lab in tree.edge_labels.items():
-        if u in doomed or v in doomed:
+    ends: list[tuple[int, int]] = []
+    for v in tree.walk.order[1:]:
+        if v in doomed:
             continue
-        new_edges[(u, v)] = lab
-    visited: set[int] = set()
-    for start in tree.vertices:
-        if start in doomed:
-            continue
-        for nxt in tree.adjacency[start]:
-            if nxt not in doomed or nxt in visited:
-                continue
-            # follow the chain of degree-2 vertices away from start
-            acc = tree.label(start, nxt)
-            prev, cur = start, nxt
-            while cur in doomed:
-                visited.add(cur)
-                a, b = tree.adjacency[cur]
-                step = b if a == prev else a
-                acc |= tree.label(cur, step)
-                prev, cur = cur, step
-            new_edges[edge_key(start, cur)] = acc
+        u = parent[v]
+        acc = tree.label(u, v)
+        while u in doomed and parent[u] is not None:
+            acc |= tree.label(u, parent[u])
+            u = parent[u]
+        if u in doomed:
+            ends.append((v, acc))
+        else:
+            new_edges[edge_key(u, v)] = acc
+    if ends:
+        (a, lab_a), (b, lab_b) = ends
+        new_edges[edge_key(a, b)] = lab_a | lab_b
     survivors = tree.vertices - doomed
     root = tree.root if tree.root in survivors else None
     return LabeledTree(frozenset(survivors), new_edges, dict(tree.leaf_names), root)
@@ -268,54 +305,36 @@ def _leaf_vertex(tree: LabeledTree, name: str) -> int:
         raise ValueError(f"unknown leaf name {name!r}") from None
 
 
-def _path_vertices(tree: LabeledTree, a: int, b: int) -> list[int]:
-    """The unique a..b path, endpoints included (BFS parent walk)."""
-    parent: dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for y in tree.adjacency[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def path_label_or(tree: LabeledTree, x: str, y: str) -> int:
     """1 iff some edge on the unique path between leaves *x* and *y* is a 1-edge."""
     if x == y:
         raise ValueError("path_label_or requires two distinct leaves")
-    a = _leaf_vertex(tree, x)
-    b = _leaf_vertex(tree, y)
-    path = _path_vertices(tree, a, b)
-    return int(any(tree.label(p, q) for p, q in zip(path, path[1:])))
+    top = tree.walk.top  # 0-components are subtrees: the path is all 0 iff the tops agree
+    return int(top[_leaf_vertex(tree, x)] != top[_leaf_vertex(tree, y)])
 
 
 def lca(tree: LabeledTree, x: str, y: str) -> int:
     """Least common ancestor of leaves *x* and *y* in a rooted tree."""
     if tree.root is None:
         raise ValueError("lca requires a rooted tree")
-    a = _leaf_vertex(tree, x)
+    a: int | None = _leaf_vertex(tree, x)
     b = _leaf_vertex(tree, y)
-    ancestors = set(_path_vertices(tree, tree.root, a))
-    for v in reversed(_path_vertices(tree, tree.root, b)):
-        if v in ancestors:
-            return v
-    raise AssertionError("disconnected tree slipped past validation")
+    parent = tree.walk.parent
+    ancestors = set()
+    while a is not None:
+        ancestors.add(a)
+        a = parent[a]
+    while b not in ancestors:
+        b = parent[b]
+    return b
 
 
 def restrict_leaves(tree: LabeledTree, names: Iterable[str]) -> LabeledTree:
     """Restrict the tree to a subset of its leaves.
 
-    Leaves outside *names* are deleted, unnamed vertices left with degree 1
-    are pruned, and degree-2 vertices are suppressed.  Leaf-to-leaf path
-    label ORs among the kept leaves are unchanged, which is what makes
+    Leaves outside *names* are deleted with every vertex off the paths
+    between kept leaves, and degree-2 vertices are suppressed.  Leaf-to-leaf
+    path label ORs among the kept leaves are unchanged, which is what makes
     Fitch graphs a heritable family.
     """
     keep = set(names)
@@ -324,23 +343,17 @@ def restrict_leaves(tree: LabeledTree, names: Iterable[str]) -> LabeledTree:
         raise ValueError(f"unknown leaf name {sorted(unknown)[0]!r}")
     if not keep:
         raise ValueError("cannot restrict to an empty leaf set")
-    verts = set(tree.vertices)
-    labels = dict(tree.edge_labels)
     leaf_names = {v: n for v, n in tree.leaf_names.items() if n in keep}
-    # Named leaves never enter the queue, so pruning cannot empty the tree.
-    dead = deque(v for v in verts if tree.degree(v) <= 1 and v not in leaf_names)
-    adj = {v: dict(tree.adjacency[v]) for v in verts}
-    while dead:
-        v = dead.popleft()
-        if v not in verts:
-            continue
-        verts.discard(v)
-        for w in adj[v]:
-            del labels[edge_key(v, w)]
-            del adj[w][v]
-            if len(adj[w]) <= 1 and w not in leaf_names:
-                dead.append(w)
-        adj[v] = {}
+    walk = tree.walk
+    below = {v: int(v in leaf_names) for v in walk.order}  # kept leaves below v
+    for v in reversed(walk.order[1:]):
+        below[walk.parent[v]] += below[v]
+    # An edge stays iff kept leaves lie on both of its sides.
+    labels: dict[Edge, int] = {}
+    for v in walk.order[1:]:
+        if 0 < below[v] < len(keep):
+            labels[edge_key(v, walk.parent[v])] = tree.label(v, walk.parent[v])
+    verts = {v for e in labels for v in e} or set(leaf_names)
     root = tree.root if tree.root in verts else None
     pruned = LabeledTree(frozenset(verts), labels, leaf_names, root)
     return suppress_degree2(pruned)

@@ -1,7 +1,8 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately take different routes than the library:
-path label ORs are recomputed by walking explicit edge paths, multipartite
+path label ORs are recomputed by walking explicit edge paths, LCAs as the
+deepest vertex shared by two explicit root paths, multipartite
 membership is re-decided through complement components, least-resolution
 by contracting every inner edge, Bell numbers come from the binomial
 recurrence instead of the Bell triangle, and topology counts from the
@@ -24,10 +25,8 @@ from fitchgraph.tree import Edge, LabeledTree, contract_edge, edge_key
 # -- independent oracles ----------------------------------------------------
 
 
-def path_or_bruteforce(tree: LabeledTree, x: str, y: str) -> int:
-    """Label OR along the x..y path, by explicit DFS path reconstruction."""
-    a = tree.name_to_leaf[x]
-    b = tree.name_to_leaf[y]
+def or_between(tree: LabeledTree, a: int, b: int) -> int:
+    """Label OR along the path between vertices a and b, by explicit DFS."""
     stack = [(a, None, 0)]
     while stack:
         cur, came_from, acc = stack.pop()
@@ -37,6 +36,33 @@ def path_or_bruteforce(tree: LabeledTree, x: str, y: str) -> int:
             if nxt != came_from:
                 stack.append((nxt, cur, acc + lab))
     raise AssertionError("no path found in a tree")
+
+
+def path_or_bruteforce(tree: LabeledTree, x: str, y: str) -> int:
+    """Label OR along the path between leaves x and y."""
+    return or_between(tree, tree.name_to_leaf[x], tree.name_to_leaf[y])
+
+
+def root_path(tree: LabeledTree, v: int) -> list[int]:
+    """The vertices from the root down to v, by DFS over growing trails."""
+    assert tree.root is not None
+    stack = [[tree.root]]
+    while stack:
+        trail = stack.pop()
+        if trail[-1] == v:
+            return trail
+        for nxt in tree.adjacency[trail[-1]]:
+            if len(trail) < 2 or nxt != trail[-2]:
+                stack.append(trail + [nxt])
+    raise AssertionError("no path found in a tree")
+
+
+def lca_bruteforce(tree: LabeledTree, x: str, y: str) -> int:
+    """The deepest vertex shared by the root paths of leaves x and y."""
+    pa = root_path(tree, tree.name_to_leaf[x])
+    pb = root_path(tree, tree.name_to_leaf[y])
+    common = [u for u, w in zip(pa, pb) if u == w]
+    return common[-1]
 
 
 def fitch_bruteforce(tree: LabeledTree) -> SimpleGraph:
@@ -51,30 +77,14 @@ def fitch_bruteforce(tree: LabeledTree) -> SimpleGraph:
 
 def directed_fitch_bruteforce(tree: LabeledTree) -> set[tuple[str, str]]:
     """Arc set via explicit root-to-leaf paths and pairwise LCA walks."""
-    assert tree.root is not None
-    paths: dict[int, list[int]] = {}
-
-    def root_path(v: int) -> list[int]:
-        if v not in paths:
-            # DFS from root to v
-            stack = [(tree.root, [tree.root])]
-            while stack:
-                cur, trail = stack.pop()
-                if cur == v:
-                    paths[v] = trail
-                    break
-                for nxt in tree.adjacency[cur]:
-                    if len(trail) < 2 or nxt != trail[-2]:
-                        stack.append((nxt, trail + [nxt]))
-        return paths[v]
-
+    paths = {v: root_path(tree, v) for v in tree.leaf_names}
     arcs = set()
     leaves = sorted(tree.leaf_names)
     for a in leaves:
         for b in leaves:
             if a == b:
                 continue
-            pa, pb = root_path(a), root_path(b)
+            pa, pb = paths[a], paths[b]
             common = 0
             while common < min(len(pa), len(pb)) and pa[common] == pb[common]:
                 common += 1
@@ -182,6 +192,20 @@ def caterpillar(rng: random.Random, names: list[str], p_one: float = 0.4) -> Lab
     triples = [(a, b, int(rng.random() < p_one)) for a, b in zip(spine, spine[1:])]
     triples += [(host, leaf, int(rng.random() < p_one)) for leaf, host in enumerate(hosts)]
     return LabeledTree.build(triples, dict(enumerate(names)), root=spine[0])
+
+
+def deep_caterpillar(n: int) -> LabeledTree:
+    """A caterpillar on leaves x000000..x{n-1} rooted at the top spine vertex
+    s_0 = vertex n; leaf i hangs from s_max(0, min(i - 1, n - 3)).  Every
+    edge is a 0-edge except the edge to x000000 and the lowest spine edge.
+    """
+    assert n >= 4
+    spine = list(range(n, 2 * n - 2))
+    hosts = [spine[0]] + spine + [spine[-1]]
+    triples = [(a, b, int(b == spine[-1])) for a, b in zip(spine, spine[1:])]
+    triples += [(host, leaf, int(leaf == 0)) for leaf, host in enumerate(hosts)]
+    names = {leaf: f"x{leaf:06d}" for leaf in range(n)}
+    return LabeledTree.build(triples, names, root=spine[0])
 
 
 def random_graph(rng: random.Random, names: list[str], p: float) -> SimpleGraph:

@@ -163,6 +163,15 @@ class TestVerify:
         assert code == 1
         assert out == "explains: no\n"
 
+    @pytest.mark.parametrize("text", ["vertices:\n", "vertices: a b c d e f g h\n"])
+    def test_other_vertex_set_no(self, run, fig1_file, tmp_path, text):
+        graph_path = tmp_path / "other.graph"
+        graph_path.write_text(text)
+        for flags in ([], ["--least-resolved"]):
+            code, out, _ = run("verify", fig1_file, str(graph_path), *flags)
+            assert code == 1
+            assert out == "explains: no\n"
+
     def test_least_resolved_yes(self, run, k221_file, tmp_path):
         _, newick, _ = run("explain", k221_file, "--minimal")
         tree_path = tmp_path / "minimal.nwk"

@@ -4,13 +4,26 @@ from itertools import combinations
 
 import pytest
 
-from fitchgraph.fitch import directed_fitch, underlying_undirected, undirected_fitch
+from fitchgraph.enumeration import all_graphs, edge_labelings, enumerate_trees
+from fitchgraph.fitch import (
+    directed_fitch,
+    explains,
+    underlying_undirected,
+    undirected_fitch,
+    zero_blocks,
+)
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree
 from fitchgraph.tree import LabeledTree, reroot, restrict_leaves, suppress_degree2
 
-from conftest import caterpillar, directed_fitch_bruteforce, fitch_bruteforce, random_tree
+from conftest import (
+    caterpillar,
+    deep_caterpillar,
+    directed_fitch_bruteforce,
+    fitch_bruteforce,
+    random_tree,
+)
 
 
 def fixed_oracle_inputs(rng):
@@ -104,6 +117,39 @@ class TestDirectedFitch:
                     assert directed_fitch(rooted).arcs == frozenset(directed_fitch_bruteforce(rooted))
         for t in fixed_oracle_inputs(rng):
             assert directed_fitch(t).arcs == frozenset(directed_fitch_bruteforce(t))
+
+
+class TestExplains:
+    def test_matches_bruteforce_on_every_small_tree(self):
+        # Each labeled tree on 2-4 leaves against every graph on its leaf
+        # set, the empty graph, the edgeless graph with leaf a renamed, and
+        # its Fitch graph plus an extra vertex.
+        checked = 0
+        for n in (2, 3, 4):
+            graphs = list(all_graphs("abcd"[:n]))
+            graphs.append(SimpleGraph(frozenset(), frozenset()))
+            graphs.append(SimpleGraph(frozenset("zbcd"[:n]), frozenset()))
+            for topo in enumerate_trees(n):
+                for t in edge_labelings(topo):
+                    fitch = fitch_bruteforce(t)
+                    extra = SimpleGraph(fitch.vertices | {"z"}, fitch.edges)
+                    for g in graphs + [extra]:
+                        assert explains(t, g) == (fitch == g)
+                        checked += 1
+        assert checked == 7602
+
+
+class TestDeepTree:
+    def test_caterpillar_with_ten_thousand_leaves(self):
+        n = 10_000
+        t = deep_caterpillar(n)
+        names = [f"x{i:06d}" for i in range(n)]
+        first, bottom = names[0], names[n - 2:]
+        blocks = {frozenset(b) for b in zero_blocks(t).values()}
+        assert blocks == {frozenset([first]), frozenset(bottom), frozenset(names[1:n - 2])}
+        arcs = {(x, first) for x in names[1:]}
+        arcs |= {(x, y) for y in bottom for x in names[:n - 2]}
+        assert directed_fitch(t).arcs == arcs
 
 
 class TestUnderlyingUndirected:

@@ -22,6 +22,8 @@ from fitchgraph.recognition import Partition
 from fitchgraph.synthesis import canonical_tree, minimal_tree
 from fitchgraph.tree import path_label_or, reroot, validate
 
+from conftest import deep_caterpillar
+
 
 class TestParseNewick:
     def test_t221(self):
@@ -149,6 +151,17 @@ class TestSerializeNewick:
                     assert serialize_newick(back) == text
                     for x, y in combinations(sorted(t.leaf_name_set), 2):
                         assert path_label_or(back, x, y) == path_label_or(t, x, y)
+
+    def test_deep_caterpillar_canonical(self):
+        # 10^5 leaves nested 10^5 deep; built directly, as parse_newick recurses.
+        n = 100_000
+        parts = ["(x000000:1,x000001:0,"]
+        parts += [f"(x{k + 1:06d}:0," for k in range(1, n - 3)]
+        parts.append(f"(x{n - 2:06d}:0,x{n - 1:06d}:0)")
+        parts.append(":1)")  # the lowest spine edge
+        parts += [":0)"] * (n - 4)
+        parts.append("r;")
+        assert serialize_newick(deep_caterpillar(n)) == "".join(parts)
 
 
 class TestEdgeList:

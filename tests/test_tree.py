@@ -17,7 +17,14 @@ from fitchgraph.tree import (
     validate,
 )
 
-from conftest import path_or_bruteforce, random_tree, subdivide_edge
+from conftest import (
+    deep_caterpillar,
+    lca_bruteforce,
+    or_between,
+    path_or_bruteforce,
+    random_tree,
+    subdivide_edge,
+)
 
 
 def t21() -> LabeledTree:
@@ -272,16 +279,35 @@ class TestLca:
                 w = lca(t, x, y)
                 ax = t.name_to_leaf[x]
                 ay = t.name_to_leaf[y]
-                left = _or_between(t, ax, w)
-                right = _or_between(t, w, ay)
+                left = or_between(t, ax, w)
+                right = or_between(t, w, ay)
                 assert path_label_or(t, x, y) == (left | right)
 
+    def test_matches_root_path_oracle(self, rng):
+        names = [f"l{i}" for i in range(7)]
+        for _ in range(20):
+            t = random_tree(rng, names)
+            for v in sorted(t.vertices):
+                if not t.is_leaf(v):
+                    rooted = reroot(t, v)
+                    for x, y in combinations(names, 2):
+                        assert lca(rooted, x, y) == lca_bruteforce(rooted, x, y)
 
-def _or_between(tree, a, b):
-    from fitchgraph.tree import _path_vertices
 
-    path = _path_vertices(tree, a, b)
-    return int(any(tree.label(p, q) for p, q in zip(path, path[1:])))
+class TestDeepTree:
+    def test_queries_at_depth(self):
+        # 10^4 leaves nested 10^4 deep; the spine vertices are s_k = n + k.
+        n = 10_000
+        t = deep_caterpillar(n)
+        first, low, last = "x000000", f"x{n - 3:06d}", f"x{n - 1:06d}"
+        assert validate(t) is None
+        assert path_label_or(t, "x000001", low) == 0
+        assert path_label_or(t, f"x{n - 2:06d}", last) == 0
+        assert path_label_or(t, "x000001", last) == 1
+        assert path_label_or(t, first, "x000001") == 1
+        assert lca(t, first, last) == n
+        assert lca(t, low, last) == 2 * n - 4
+        assert lca(t, f"x{n - 2:06d}", last) == 2 * n - 3
 
 
 class TestRestrictLeaves:
