@@ -44,16 +44,17 @@ def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
 def explains(tree: LabeledTree, g: SimpleGraph) -> bool:
     """Whether *g* is the undirected Fitch graph of *tree*, in O(tree + |E|).
 
-    True iff *g* has the leaf names as vertices, no edge inside a block,
-    and as many edges as there are pairs across blocks.
+    True iff *g* has the leaf names as vertices and each member of a block
+    b has n - |b| neighbours, none of them in b.
     """
     if g.vertices != tree.leaf_name_set:
         return False
-    top, leaf = tree.walk.top, tree.name_to_leaf
-    if any(top[leaf[x]] == top[leaf[y]] for x, y in g.edges):
-        return False
-    n = len(g.vertices)
-    return 2 * len(g.edges) == n * n - sum(len(b) ** 2 for b in zero_blocks(tree).values())
+    adj, n = g.adjacency, len(g.vertices)
+    for names in zero_blocks(tree).values():
+        block, degree = frozenset(names), n - len(names)
+        if any(len(adj[x]) != degree or not adj[x].isdisjoint(block) for x in names):
+            return False
+    return True
 
 
 def directed_fitch(tree: LabeledTree) -> DirectedGraph:

@@ -4,39 +4,73 @@ Vertices are strings (the leaf names of the trees they come from), edges
 are normalized (min, max) name pairs, arcs are ordered pairs.  Both types
 are immutable and hashable, so sets of graphs work as expected -- the
 exhaustive enumeration machinery relies on that.
+
+A :class:`SimpleGraph` holds its edges as neighbour sets, as a set of edge
+tuples, or both, and derives either form from the other on first read.
+Built, parsed and computed graphs carry neighbour sets only: every
+question this package asks of a graph is about neighbourhoods, so the
+tuples are made only when something reads ``.edges``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 
-def _pair(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if x < y else (y, x)
-
-
-@dataclass(frozen=True)
 class SimpleGraph:
-    """An undirected simple graph: no self-loops, no parallel edges."""
+    """An undirected simple graph: no self-loops, no parallel edges.
+
+    ``SimpleGraph(vertices, edges)`` takes normalized (min, max) pairs;
+    equality and hashing are on (vertices, edges).
+    """
 
     vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+
+    def __init__(self, vertices: frozenset[str], edges: frozenset[tuple[str, str]]):
+        self.__dict__.update(vertices=vertices, edges=edges)
+
+    @staticmethod
+    def _from_adjacency(vertices: frozenset[str], adjacency: dict[str, Iterable[str]]) -> "SimpleGraph":
+        """A graph stored as neighbour sets, which must be symmetric, free of
+        self-loops and keyed by exactly *vertices*; nothing checks that."""
+        g = object.__new__(SimpleGraph)
+        frozen = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+        g.__dict__.update(vertices=vertices, adjacency=frozen)
+        return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SimpleGraph:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
         verts = frozenset(vertices)
-        normalized = set()
+        adj: dict[str, set[str]] = {v: set() for v in verts}
         for x, y in edges:
             if x == y:
                 raise ValueError(f"self-loop at {x!r}")
-            if x not in verts or y not in verts:
+            try:
+                adj[x].add(y)
+                adj[y].add(x)
+            except KeyError:
                 missing = x if x not in verts else y
-                raise ValueError(f"edge endpoint {missing!r} is not a vertex")
-            normalized.add(_pair(x, y))
-        return SimpleGraph(verts, frozenset(normalized))
+                raise ValueError(f"edge endpoint {missing!r} is not a vertex") from None
+        return SimpleGraph._from_adjacency(verts, adj)
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -46,27 +80,27 @@ class SimpleGraph:
             adj[y].add(x)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset([(x, y) for x, nbrs in self.adjacency.items() for y in nbrs if x < y])
+
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
 
     def has_edge(self, x: str, y: str) -> bool:
-        return _pair(x, y) in self.edges
+        return y in self.adjacency.get(x, ())
 
     def induced(self, names: Iterable[str]) -> "SimpleGraph":
         keep = frozenset(names)
         if not keep <= self.vertices:
             raise ValueError("induced subgraph on non-vertices")
-        return SimpleGraph(
-            keep, frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
-        )
+        return SimpleGraph._from_adjacency(keep, {v: self.adjacency[v] & keep for v in keep})
 
     def complement(self) -> "SimpleGraph":
-        non_edges = frozenset(
-            _pair(x, y)
-            for x, y in combinations(sorted(self.vertices), 2)
-            if _pair(x, y) not in self.edges
+        verts = self.vertices
+        return SimpleGraph._from_adjacency(
+            verts, {v: verts - nbrs - {v} for v, nbrs in self.adjacency.items()}
         )
-        return SimpleGraph(self.vertices, non_edges)
 
 
 @dataclass(frozen=True)
@@ -104,12 +138,9 @@ def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
         if verts & b:
             raise ValueError("blocks are not disjoint")
         verts |= b
-    # Join each vertex to every vertex of the blocks before its own: one
-    # step per vertex and per edge, whatever the block sizes.
-    edges: set[tuple[str, str]] = set()
-    earlier: list[str] = []
+    # Every member of a block shares one neighbour set: O(V) per block.
+    all_verts = frozenset(verts)
+    adj: dict[str, frozenset[str]] = {}
     for b in block_list:
-        for x in b:
-            edges.update([(x, y) if x < y else (y, x) for y in earlier])
-        earlier += b
-    return SimpleGraph(frozenset(verts), frozenset(edges))
+        adj.update(dict.fromkeys(b, all_verts - b))
+    return SimpleGraph._from_adjacency(all_verts, adj)

@@ -205,7 +205,7 @@ def serialize_newick(tree: LabeledTree) -> str:
 def parse_edgelist(text: str) -> SimpleGraph:
     """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph."""
     vertices: list[str] | None = None
-    edges: set[tuple[str, str]] = set()
+    adj: dict[str, set[str]] = {}
     for lineno, raw in enumerate(_normalize(text).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -214,8 +214,8 @@ def parse_edgelist(text: str) -> SimpleGraph:
             if not line.startswith("vertices:"):
                 raise ParseError("expected 'vertices:' header line", line=lineno)
             vertices = line[len("vertices:"):].split()
-            known = set(vertices)
-            if len(known) != len(vertices):
+            adj = {v: set() for v in vertices}
+            if len(adj) != len(vertices):
                 raise ParseError("duplicate vertex name", line=lineno)
             continue
         parts = line.split()
@@ -223,17 +223,17 @@ def parse_edgelist(text: str) -> SimpleGraph:
             raise ParseError("expected two endpoint names", line=lineno)
         x, y = parts
         for end in (x, y):
-            if end not in known:
+            if end not in adj:
                 raise ParseError(f"unknown endpoint {end!r}", line=lineno)
         if x == y:
             raise ParseError(f"self-loop at {x!r}", line=lineno)
-        key = (x, y) if x < y else (y, x)
-        if key in edges:
+        if y in adj[x]:
             raise ParseError(f"duplicate edge {x} {y}", line=lineno)
-        edges.add(key)
+        adj[x].add(y)
+        adj[y].add(x)
     if vertices is None:
         raise ParseError("empty input (expected 'vertices:' header)", line=1)
-    return SimpleGraph(frozenset(vertices), frozenset(edges))
+    return SimpleGraph._from_adjacency(frozenset(adj), adj)
 
 
 def _pair_buckets(names: list[str], pairs: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
@@ -247,11 +247,21 @@ def _pair_buckets(names: list[str], pairs: frozenset[tuple[str, str]]) -> dict[s
     return after
 
 
-def _pair_lines(vertices: frozenset[str], pairs: frozenset[tuple[str, str]]) -> str:
-    """The ``vertices:`` line, then one ``x y`` line per pair in sorted order."""
-    names = sorted(vertices)
+def _edge_buckets(names: list[str], g: SimpleGraph) -> dict[str, list[str]]:
+    """:func:`_pair_buckets` of ``g.edges``, read from the neighbour sets."""
+    adj = g.adjacency
+    after: dict[str, list[str]] = {}
+    for x in names:
+        ys = [y for y in adj[x] if x < y]
+        ys.sort()
+        after[x] = ys
+    return after
+
+
+def _pair_lines(names: list[str], after: dict[str, list[str]]) -> str:
+    """The ``vertices:`` line, then one ``x y`` line per bucketed pair."""
     lines = ["vertices: " + " ".join(names)]
-    for x, ys in _pair_buckets(names, pairs).items():
+    for x, ys in after.items():
         if ys:
             head = x + " "
             lines.append(head + ("\n" + head).join(ys))
@@ -259,12 +269,14 @@ def _pair_lines(vertices: frozenset[str], pairs: frozenset[tuple[str, str]]) -> 
 
 
 def serialize_edgelist(g: SimpleGraph) -> str:
-    return _pair_lines(g.vertices, g.edges)
+    names = sorted(g.vertices)
+    return _pair_lines(names, _edge_buckets(names, g))
 
 
 def serialize_arclist(d: DirectedGraph) -> str:
     """Arc-per-line rendering of a digraph (same layout as edge lists)."""
-    return _pair_lines(d.vertices, d.arcs)
+    names = sorted(d.vertices)
+    return _pair_lines(names, _pair_buckets(names, d.arcs))
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +296,8 @@ def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
         quoted = {v: _dot_quote(v) for v in names}
         lines = ["digraph {" if directed else "graph {"]
         lines += [f"  {quoted[v]};" for v in names]
-        for x, ys in _pair_buckets(names, obj.arcs if directed else obj.edges).items():
+        after = _pair_buckets(names, obj.arcs) if directed else _edge_buckets(names, obj)
+        for x, ys in after.items():
             head = f"  {quoted[x]} {'->' if directed else '--'} "
             lines += [f"{head}{quoted[y]};" for y in ys]
         lines.append("}")

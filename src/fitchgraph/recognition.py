@@ -98,12 +98,13 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     """
     if not g.vertices:
         raise ValueError("empty graph")
+    adj = g.adjacency
     groups: dict[frozenset[str], list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(g.adjacency[v], []).append(v)
-    n = len(g.vertices)
-    cross_pairs = (n * n - sum(len(b) * len(b) for b in groups.values())) // 2
-    if len(g.edges) == cross_pairs:
+    for v, nbrs in adj.items():
+        groups.setdefault(nbrs, []).append(v)
+    # Twice |E| (the degree sum) against twice the cross-group pairs.
+    n = len(adj)
+    if sum(map(len, adj.values())) == n * n - sum(len(b) * len(b) for b in groups.values()):
         return Partition.canonical(groups.values())
     return _class_witness(g, groups)
 
@@ -144,12 +145,14 @@ def recognize_bruteforce(g: SimpleGraph) -> RecognitionResult:
     names = sorted(g.vertices)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    adj = np.zeros((n, n), dtype=np.int64)
+    # float64 lets numpy multiply through BLAS; every count is at most
+    # n^2 < 2^53, so the arithmetic stays exact.
+    adj = np.zeros((n, n))
     for x, y in g.edges:
         i, j = index[x], index[y]
         adj[i, j] = 1
         adj[j, i] = 1
-    non = 1 - adj - np.eye(n, dtype=np.int64)
+    non = 1 - adj - np.eye(n)
     bad_counts = ((non @ adj) * non).sum(axis=1)
     if bad_counts.any():
         a = int(np.argmax(bad_counts > 0))

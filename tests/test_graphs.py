@@ -1,0 +1,113 @@
+"""Tests for the SimpleGraph core: its two edge forms, equality and errors."""
+
+import random
+import re
+from itertools import combinations
+
+import pytest
+
+from fitchgraph.enumeration import all_graphs
+from fitchgraph.fitch import explains
+from fitchgraph.graphs import SimpleGraph, complete_multipartite
+from fitchgraph.io import parse_edgelist, serialize_edgelist, to_dot
+from fitchgraph.recognition import recognize
+from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
+
+
+def test_built_equals_constructed_on_every_small_graph():
+    rng = random.Random(5)
+    for n in range(5):
+        for g in all_graphs("abcd"[:n]):
+            pairs = [(y, x) for x, y in g.edges] + sorted(g.edges) * 2
+            rng.shuffle(pairs)
+            built = SimpleGraph.build(g.vertices, pairs)
+            assert "edges" not in built.__dict__
+            assert built == g and g == built
+            assert hash(built) == hash(g)
+            assert {built} == {g}
+            assert built.adjacency == g.adjacency
+            assert built.edges == g.edges
+
+
+def test_repr_shows_vertices_and_edges():
+    g = SimpleGraph.build("ab", [("b", "a")])
+    assert repr(g) == f"SimpleGraph(vertices={g.vertices!r}, edges=frozenset({{('a', 'b')}}))"
+    assert repr(SimpleGraph.build("", [])) == "SimpleGraph(vertices=frozenset(), edges=frozenset())"
+
+
+def test_immutable():
+    g = SimpleGraph.build("ab", [("a", "b")])
+    with pytest.raises(AttributeError):
+        g.edges = frozenset()
+    with pytest.raises(AttributeError):
+        del g.adjacency
+    assert g.edges == frozenset({("a", "b")})
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("a", "b"), ("z", "z"), ("a", "q")], "self-loop at 'z'"),
+        ([("a", "b"), ("b", "b"), ("q", "b")], "self-loop at 'b'"),
+        ([("q", "r")], "edge endpoint 'q' is not a vertex"),
+        ([("a", "r"), ("q", "b")], "edge endpoint 'r' is not a vertex"),
+        ([("b", "a"), ("a", "b"), ("q", "q")], "self-loop at 'q'"),
+    ],
+)
+def test_build_reports_first_offending_pair(pairs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimpleGraph.build("ab", pairs)
+
+
+def test_has_edge_and_neighbors():
+    g = SimpleGraph.build("abc", [("b", "a")])
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert not g.has_edge("a", "c") and not g.has_edge("a", "z")
+    assert not g.has_edge("z", "a")
+    assert g.neighbors("a") == {"b"} and g.neighbors("c") == frozenset()
+    assert "edges" not in g.__dict__
+
+
+def test_complete_multipartite_adjacency_matches_its_edges(rng):
+    for _ in range(50):
+        names = [f"v{i}" for i in range(rng.randint(1, 14))]
+        rng.shuffle(names)
+        cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1)))
+        blocks = [names[i:j] for i, j in zip([0] + cuts, cuts + [len(names)])]
+        g = complete_multipartite(blocks)
+        assert "edges" not in g.__dict__
+        cross = {
+            (min(x, y), max(x, y))
+            for b1, b2 in combinations(blocks, 2)
+            for x in b1
+            for y in b2
+        }
+        assert g.edges == cross
+        assert SimpleGraph(g.vertices, g.edges).adjacency == g.adjacency
+
+
+def test_readers_leave_edge_tuples_unbuilt():
+    blocks = [["a", "b", "c"], ["d", "e"], ["f"]]
+    cross = [(x, y) for b1, b2 in combinations(blocks, 2) for x in b1 for y in b2]
+    text = serialize_edgelist(SimpleGraph.build("abcdef", cross))
+    for make in (
+        lambda: SimpleGraph.build("abcdef", cross),
+        lambda: parse_edgelist(text),
+        lambda: complete_multipartite(blocks),
+    ):
+        g = make()
+        partition = recognize(g)
+        assert explains(canonical_tree(partition), g)
+        assert is_least_resolved(minimal_tree(partition), g)
+        assert serialize_edgelist(g) == text
+        to_dot(g)
+        assert "edges" not in g.__dict__
+    for make in (
+        lambda: SimpleGraph.build("abcdef", cross[1:]),
+        lambda: parse_edgelist(text.replace("a d\n", "")),
+    ):
+        g = make()
+        recognize(g)
+        serialize_edgelist(g)
+        to_dot(g)
+        assert "edges" not in g.__dict__

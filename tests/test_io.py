@@ -199,8 +199,9 @@ class TestEdgeList:
             parse_edgelist("vertices: a b\na z\n")
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ParseError, match="duplicate edge"):
+        with pytest.raises(ParseError, match="duplicate edge") as err:
             parse_edgelist("vertices: a b\na b\nb a\n")
+        assert (err.value.message, err.value.line) == ("duplicate edge b a", 3)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError, match="vertices:"):
