@@ -26,24 +26,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _looks_like_edgelist(text: str) -> bool:
-    for raw in text.replace("\r\n", "\n").split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.startswith("vertices:")
-    return False
-
-
 def _load_tree(path: str) -> LabeledTree:
     text = _read(path)
-    if _looks_like_edgelist(text):
+    if io.looks_like_edgelist(text):
         raise io.ParseError("expected a tree (Newick), got an edge list")
     return io.parse_newick(text)
 
 
 def _load_graph(path: str) -> SimpleGraph:
     text = _read(path)
-    if not _looks_like_edgelist(text):
+    if not io.looks_like_edgelist(text):
         raise io.ParseError("expected a graph (edge list), got something else")
     return io.parse_edgelist(text)
 
@@ -115,7 +107,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    obj = io.parse_edgelist(text) if _looks_like_edgelist(text) else io.parse_newick(text)
+    obj = io.parse_edgelist(text) if io.looks_like_edgelist(text) else io.parse_newick(text)
     sys.stdout.write(io.to_dot(obj))
     return 0
 
@@ -164,10 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse usage errors exit with 2 already
         return int(exc.code or 0)
     try:

@@ -60,27 +60,16 @@ def _default_names(n: int) -> list[str]:
     return list(ascii_lowercase[:n])
 
 
-def _split_key(tree: LabeledTree) -> frozenset[frozenset[str]]:
-    """Canonical identity of a topology: the leaf bipartitions of its edges."""
-    all_names = tree.leaf_name_set
-    anchor = min(all_names)
-    walk = tree.walk
-    order, span = walk.leaf_spans
-    splits = set()
-    for u, v in tree.edge_labels:
-        lo, hi = span[v if walk.parent[v] == u else u]
-        side = frozenset(order[lo:hi])
-        splits.add(all_names - side if anchor in side else side)
-    return frozenset(splits)
-
-
 def enumerate_trees(n: int, names: Sequence[str] | None = None) -> list[LabeledTree]:
     """Every unrooted tree on n named leaves with all internal degrees >= 3.
 
     Trees are grown by inserting one leaf at a time, either on a
-    subdivided edge or directly at an inner vertex, and deduplicated by
-    their edge split systems.  Edge labels of the returned trees are all 0
-    and stand for "unassigned"; sweep them with :func:`edge_labelings`.
+    subdivided edge or directly at an inner vertex.  No tree comes out
+    twice: removing the newest leaf, and suppressing its neighbour if that
+    leaves it with degree 2, undoes either move, so each tree comes from
+    exactly one parent tree and one insertion site.  Edge labels of the
+    returned trees are all 0 and stand for "unassigned"; sweep them with
+    :func:`edge_labelings`.
     """
     if not 2 <= n <= MAX_TOPOLOGY_LEAVES:
         raise ValueError(f"n out of supported range 2..{MAX_TOPOLOGY_LEAVES}")
@@ -110,10 +99,7 @@ def enumerate_trees(n: int, names: Sequence[str] | None = None) -> list[LabeledT
                 new_names = dict(tree.leaf_names)
                 new_names[fresh] = name
                 grown.append(LabeledTree.build(edges, new_names))
-        unique: dict[frozenset[frozenset[str]], LabeledTree] = {}
-        for tree in grown:
-            unique.setdefault(_split_key(tree), tree)
-        trees = list(unique.values())
+        trees = grown
     return trees
 
 
@@ -208,14 +194,10 @@ def minimum_tree_size(g: SimpleGraph) -> int:
         raise ValueError("graph is not a Fitch graph")
     if n == 1:
         return 1
-    by_size: dict[int, list[LabeledTree]] = {}
-    for topo in enumerate_trees(n, sorted(g.vertices)):
-        by_size.setdefault(len(topo.vertices), []).append(topo)
-    for size in sorted(by_size):
-        for topo in by_size[size]:
-            for labeled in edge_labelings(topo):
-                if explains(labeled, g):
-                    return size
+    topologies = sorted(enumerate_trees(n, sorted(g.vertices)), key=lambda t: len(t.vertices))
+    for topo in topologies:
+        if any(explains(t, g) for t in edge_labelings(topo)):
+            return len(topo.vertices)
     raise AssertionError("no explaining tree found for a multipartite graph")
 
 

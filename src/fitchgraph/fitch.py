@@ -17,7 +17,7 @@ the walk's leaf list.  Both functions cost O(vertices + output).
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from .graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from .tree import LabeledTree
@@ -62,16 +62,14 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")
     names = tree.leaf_names
-    walk = tree.walk
-    order, span = walk.leaf_spans
-    arcs: set[tuple[str, str]] = set()
-    for v, y in names.items():
-        top = walk.top[v]
-        if top != tree.root:
-            lo, hi = span[top]
-            arcs.update(zip(order[:lo], repeat(y)))
-            arcs.update(zip(order[hi:], repeat(y)))
-    return DirectedGraph(frozenset(names.values()), frozenset(arcs))
+    top = tree.walk.top
+    order, span = tree.walk.leaf_spans
+    # Each arc (x, y) comes from one leaf y and one side of top(y)'s interval.
+    cuts = ((span[top[v]], y) for v, y in names.items() if top[v] != tree.root)
+    arcs = frozenset(chain.from_iterable(
+        chain(zip(order[:lo], repeat(y)), zip(order[hi:], repeat(y))) for (lo, hi), y in cuts
+    ))
+    return DirectedGraph(frozenset(names.values()), arcs)
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:

@@ -202,6 +202,21 @@ def serialize_newick(tree: LabeledTree) -> str:
 # --------------------------------------------------------------------------
 
 
+def looks_like_edgelist(text: str) -> bool:
+    """Whether the first line of *text* holding more than blanks and a
+    comment starts with ``vertices:``; reads no further than that line."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        line = text[start:stop].split("#", 1)[0].strip()
+        if line:
+            return line.startswith("vertices:")
+        start = stop + 1
+    return False
+
+
 def parse_edgelist(text: str) -> SimpleGraph:
     """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph."""
     vertices: list[str] | None = None

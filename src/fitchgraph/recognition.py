@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-import numpy as np
-
 from .graphs import SimpleGraph
 
 
@@ -140,6 +138,8 @@ def recognize_bruteforce(g: SimpleGraph) -> RecognitionResult:
     matrix M.  Acceptance additionally re-verifies the multipartite
     structure of the derived partition directly against A.
     """
+    import numpy as np  # only this oracle needs it; importing fitchgraph stays cheap
+
     if not g.vertices:
         raise ValueError("empty graph")
     names = sorted(g.vertices)

@@ -94,6 +94,28 @@ def directed_fitch_bruteforce(tree: LabeledTree) -> set[tuple[str, str]]:
     return arcs
 
 
+def split_system(tree: LabeledTree) -> frozenset[frozenset[str]]:
+    """The leaf bipartitions of the tree's edges, one explicit DFS per edge.
+
+    Each split is named by its side without the smallest leaf name, so two
+    trees on the same leaves have equal split systems iff they are the
+    same topology.
+    """
+    all_names = tree.leaf_name_set
+    anchor = min(all_names)
+    splits = set()
+    for u, v in tree.edge_labels:
+        side = set()
+        stack = [(v, u)]
+        while stack:
+            cur, came_from = stack.pop()
+            if cur in tree.leaf_names:
+                side.add(tree.leaf_names[cur])
+            stack += [(nxt, cur) for nxt in tree.adjacency[cur] if nxt != came_from]
+        splits.add(frozenset(all_names - side if anchor in side else side))
+    return frozenset(splits)
+
+
 def least_resolved_by_contraction(tree: LabeledTree, g: SimpleGraph) -> bool:
     """Least-resolved by definition: contract each inner edge in turn and
     check that the per-pair Fitch graph of the result is no longer *g*."""

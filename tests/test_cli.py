@@ -104,6 +104,11 @@ class TestRecognize:
         assert code == 1
         assert out == "witness: a | b--c\n"
 
+    def test_tree_input_rejected(self, run, fig1_file):
+        code, out, err = run("recognize", fig1_file)
+        assert (code, out) == (2, "")
+        assert err == "error: expected a graph (edge list), got something else\n"
+
     def test_empty_graph(self, run, tmp_path):
         path = tmp_path / "empty.graph"
         path.write_text("vertices:\n")
@@ -243,6 +248,33 @@ class TestUsage:
     def test_unknown_command(self, run):
         code, _, _ = run("frobnicate")
         assert code == 2
+
+    def test_flags_do_not_carry_over(self, run, k221_file, tmp_path):
+        # main reuses one parser; each call must start from its defaults
+        pair = tmp_path / "pair.nwk"
+        pair.write_text("(a:1,b:0)r;")
+        assert run("compute", str(pair), "--directed") == (0, "vertices: a b\nb a\n", "")
+        assert run("compute", str(pair)) == (0, "vertices: a b\na b\n", "")
+        _, minimal, _ = run("explain", k221_file, "--minimal")
+        _, canonical, _ = run("explain", k221_file)
+        assert minimal != canonical
+        tree_path = tmp_path / "canonical.nwk"
+        tree_path.write_text(canonical)
+        code, out, _ = run("verify", str(tree_path), k221_file, "--least-resolved")
+        assert (code, out) == (1, "explains: yes\nleast-resolved: no\n")
+        code, out, _ = run("verify", str(tree_path), k221_file)
+        assert (code, out) == (0, "explains: yes\n")
+
+
+def test_setup_call_leaves_numpy_unimported():
+    # the benchmark's set-up call: import the CLI and run one tiny command
+    code = (
+        "import sys; import fitchgraph.cli as c; code = c.main(['enumerate', '2']); "
+        "sys.exit(code or ('numpy' in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("leaves: 2\n")
 
 
 def test_installed_entry_point(tmp_path):

@@ -20,7 +20,7 @@ from fitchgraph.fitch import undirected_fitch, directed_fitch, underlying_undire
 from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.tree import reroot, restrict_leaves, validate
 
-from conftest import bell_binomial, series_reduced_rooted_count
+from conftest import bell_binomial, series_reduced_rooted_count, split_system
 
 N3_REPORT = """\
 leaves: 3
@@ -90,10 +90,8 @@ class TestEnumerateTrees:
                         assert t.degree(v) >= 3
 
     def test_no_duplicate_topologies(self):
-        from fitchgraph.enumeration import _split_key
-
-        for n in (4, 5):
-            keys = [_split_key(t) for t in enumerate_trees(n)]
+        for n in (4, 5, 6):
+            keys = [split_system(t) for t in enumerate_trees(n)]
             assert len(keys) == len(set(keys))
 
     @pytest.mark.parametrize("n", [1, 7])

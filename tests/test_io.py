@@ -11,6 +11,7 @@ from fitchgraph.fitch import undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph
 from fitchgraph.io import (
     ParseError,
+    looks_like_edgelist,
     parse_edgelist,
     parse_newick,
     serialize_arclist,
@@ -230,6 +231,32 @@ class TestEdgeList:
             assert exc.line == 4
         else:
             pytest.fail("expected ParseError")
+
+
+class TestLooksLikeEdgelist:
+    @pytest.mark.parametrize(
+        "text,verdict",
+        [
+            ("vertices: a b\na b\n", True),
+            ("vertices: a b\r\na b\r\n", True),
+            ("\r\n \t\r\nvertices: a\r\n", True),
+            ("\n\n   \nvertices: a\n", True),
+            ("# a graph\n   # of one vertex\nvertices: a\n", True),
+            ("   vertices: a b\n", True),
+            ("vertices:a", True),
+            ("vertices:", True),
+            ("#vertices: a b\n(a:0,b:0)r;\n", False),
+            ("#vertices: a b\n", False),
+            ("x # vertices: a\n", False),
+            ("vertices a b\n", False),
+            ("", False),
+            ("\r\n\n  \n", False),
+            ("((a:0,b:0):1,c:1)r;", False),
+            ("(a:0,b:0)r;\nvertices: a b\n", False),
+        ],
+    )
+    def test_verdicts(self, text, verdict):
+        assert looks_like_edgelist(text) is verdict
 
 
 class TestDot:
