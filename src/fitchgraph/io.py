@@ -218,36 +218,44 @@ def looks_like_edgelist(text: str) -> bool:
 
 
 def parse_edgelist(text: str) -> SimpleGraph:
-    """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph."""
-    vertices: list[str] | None = None
-    adj: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(_normalize(text).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if vertices is None:
-            if not line.startswith("vertices:"):
-                raise ParseError("expected 'vertices:' header line", line=lineno)
-            vertices = line[len("vertices:"):].split()
-            adj = {v: set() for v in vertices}
-            if len(adj) != len(vertices):
-                raise ParseError("duplicate vertex name", line=lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected two endpoint names", line=lineno)
-        x, y = parts
-        for end in (x, y):
-            if end not in adj:
-                raise ParseError(f"unknown endpoint {end!r}", line=lineno)
+    """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph.
+
+    One pass over the lines; on malformed input the first bad line in
+    line order is reported, with its 1-based number.
+    """
+    lines = _normalize(text).split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for start, header in enumerate(lines):
+        header = header.strip()
+        if header:
+            break
+    else:
+        raise ParseError("empty input (expected 'vertices:' header)", line=1)
+    if not header.startswith("vertices:"):
+        raise ParseError("expected 'vertices:' header line", line=start + 1)
+    vertices = header[len("vertices:"):].split()
+    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    if len(adj) != len(vertices):
+        raise ParseError("duplicate vertex name", line=start + 1)
+    for lineno, parts in enumerate(map(str.split, lines[start + 1:]), start + 2):
+        try:
+            x, y = parts
+            ax, ay = adj[x], adj[y]
+        except ValueError:
+            if not parts:
+                continue
+            raise ParseError("expected two endpoint names", line=lineno) from None
+        except KeyError:
+            unknown = x if x not in adj else y
+            raise ParseError(f"unknown endpoint {unknown!r}", line=lineno) from None
         if x == y:
             raise ParseError(f"self-loop at {x!r}", line=lineno)
-        if y in adj[x]:
+        if y in ax:
             raise ParseError(f"duplicate edge {x} {y}", line=lineno)
-        adj[x].add(y)
-        adj[y].add(x)
-    if vertices is None:
-        raise ParseError("empty input (expected 'vertices:' header)", line=1)
+        ax.add(y)
+        ay.add(x)
+    del lines  # free the text's lines before the neighbour sets are copied
     return SimpleGraph._from_adjacency(frozenset(adj), adj)
 
 

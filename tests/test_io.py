@@ -5,6 +5,8 @@ from itertools import combinations
 from string import ascii_lowercase
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitchgraph.enumeration import edge_labelings, enumerate_trees, set_partitions
 from fitchgraph.fitch import undirected_fitch
@@ -231,6 +233,92 @@ class TestEdgeList:
             assert exc.line == 4
         else:
             pytest.fail("expected ParseError")
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            # the earlier of two errors wins
+            ("vertices: a b\na b\nb a\na z\n", "duplicate edge b a", 3),
+            # four names over two lines: the line, not the total, is counted
+            ("vertices: a b c d\na b c\nd\n", "expected two endpoint names", 2),
+            ("vertices: a b\nx y\n", "unknown endpoint 'x'", 2),
+            ("vertices: a b\na y\n", "unknown endpoint 'y'", 2),
+            ("vertices:\ta b\n   \n\t\na\tb\n\t \nb\ta\n", "duplicate edge b a", 6),
+            ("# one\n  # two\nvertices: a b # c\na c\n", "unknown endpoint 'c'", 4),
+            ("vertices: a b #\n#\na#b\n", "expected two endpoint names", 3),
+            ("vertices: a b\ra b\r\ra a\r", "self-loop at 'a'", 4),
+            ("vertices: a b\r\n\r\na b\r\nb x\r\n", "unknown endpoint 'x'", 4),
+            ("\n# c\na b\nvertices: a b\n", "expected 'vertices:' header line", 3),
+            ("vertices: a\x0bb\x1cc\na\x0bb\nb\x1cc\nc\x0bc\n", "self-loop at 'c'", 4),
+            ("vertices: a b c\na\x0bb\x1cc\n", "expected two endpoint names", 2),
+            ("\r\n \t\r\n", "empty input (expected 'vertices:' header)", 1),
+            ("\nvertices: a b a\n", "duplicate vertex name", 2),
+        ],
+    )
+    def test_exact_errors(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(text)
+        assert (err.value.message, err.value.line) == (message, line)
+
+
+# Names hold no '#' and no character that str.isspace accepts: the space
+# separators (Zs, Zl, Zp) and the listed control characters.
+NAMES = st.text(
+    st.characters(
+        blacklist_categories=("Cs", "Zs", "Zl", "Zp"),
+        blacklist_characters="#\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85",
+    ),
+    min_size=1,
+    max_size=4,
+)
+EDGELIST_TOKENS = ["a", "b", "c", "vertices:", "#", " ", "\t", "\r", "\n", "\x0b"]
+
+
+@st.composite
+def named_graphs(draw, name=NAMES):
+    names = draw(st.lists(name, unique=True, max_size=8))
+    pairs = list(combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph.build(names, edges)
+
+
+class TestEdgeListProperties:
+    @settings(derandomize=True, max_examples=200)
+    @given(named_graphs())
+    def test_round_trip(self, g):
+        assert parse_edgelist(serialize_edgelist(g)) == g
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.sampled_from(EDGELIST_TOKENS), max_size=40).map("".join))
+    def test_only_parse_errors(self, text):
+        try:
+            parse_edgelist(text)
+        except ParseError:
+            pass
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        named_graphs(st.sampled_from("abcd")),
+        st.lists(st.tuples(st.integers(0, 10), st.sampled_from("abcd"), st.sampled_from("abcd"))),
+        st.sampled_from(["\n", "\r", "\r\n"]),
+        st.sampled_from([" ", "\t", "\x0b", " \x1c"]),
+    )
+    def test_accepted_adjacency_is_well_formed(self, g, extra, newline, sep):
+        # _from_adjacency trusts the parser for all three conditions.  Extra
+        # edge lines may repeat an edge, join a name to itself or name a
+        # vertex the header lacks.
+        lines = serialize_edgelist(g).split("\n")
+        for pos, x, y in extra:
+            lines.insert(1 + pos % len(lines), x + sep + y)
+        try:
+            parsed = parse_edgelist(newline.join(lines))
+        except ParseError:
+            return
+        adj = parsed.adjacency
+        assert set(adj) == parsed.vertices
+        for v, nbrs in adj.items():
+            assert v not in nbrs
+            assert all(v in adj[u] for u in nbrs)
 
 
 class TestLooksLikeEdgelist:

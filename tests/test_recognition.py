@@ -1,5 +1,6 @@
 """Tests for complete multipartite recognition and its brute-force oracle."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -162,3 +163,29 @@ class TestAgreement:
     def test_isolated_vertices_merge_into_one_block(self):
         g = graph("abcd", [])
         assert recognize(g).blocks == (frozenset("abcd"),)
+
+
+def nested_split(m: int) -> SimpleGraph:
+    """Clique k0000..k{m-1} plus independent m_s joined to k0000..k_s."""
+    ks = [f"k{s:04d}" for s in range(m)]
+    edges = list(combinations(ks, 2))
+    edges += [(k, f"m{s:04d}") for s in range(m) for k in ks[: s + 1]]
+    return SimpleGraph.build(ks + [f"m{s:04d}" for s in range(m)], edges)
+
+
+@pytest.mark.parametrize("m", [2, 3, 30])
+def test_nested_split_agrees_with_bruteforce(m):
+    g = nested_split(m)
+    assert recognize(g) == recognize_bruteforce(g)
+
+
+def test_nested_split_rejection_scale():
+    # Every k class fails and sorts before the m classes.  Testing each
+    # failing class against every class it is not joined to costs Theta(m^3).
+    g = nested_split(900)
+    assert len(g.adjacency) == 1800
+    t0 = time.perf_counter()
+    result = recognize(g)
+    elapsed = time.perf_counter() - t0
+    assert result == ForbiddenWitness("m0000", ("k0001", "k0002"))
+    assert elapsed < 0.5  # that cubic scan takes seconds here
