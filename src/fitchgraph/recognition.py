@@ -91,14 +91,16 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     classes by smallest member.  A visit finds the classes inside
     N(P) - N(C), for the failing class P before it, in O(min(k, |N(P)|)),
     which sums to O(|V| + |E|) over all visits, and tests each of them in
-    O(its degree) (see :func:`_class_witness`).  The classes passed over
-    are pairwise joined, so there are O(sqrt(|E|)) visits, and with the
-    sort and the pair search O(|V| log |V| + (|V| + |E|) sqrt(|E|)) is the
-    proven worst case, and O(|V| log |V| + |E|) after adding or removing
-    one edge of a complete multipartite graph.  A class can be tested at
-    more than one visit, so no linear bound is proven in general; on
-    generated threshold and nested split graphs the work measured stayed
-    within a small multiple of |V| + |E|.
+    O(its degree) (see :func:`_class_witness`).  Failing classes are
+    pairwise joined (a class C not joined to a failing P has N(C) inside
+    N(P), so some neighbor of P lies outside N(C) and C passes), so there
+    are O(sqrt(|E|)) visits, and with the sort and the pair search
+    O(|V| log |V| + (|V| + |E|) sqrt(|E|)) is the proven worst case, and
+    O(|V| log |V| + |E|) after adding or removing one edge of a complete
+    multipartite graph.  A class can be tested at more than one visit, so
+    no linear bound is proven in general; on generated threshold and nested
+    split graphs the work measured stayed within a small multiple of
+    |V| + |E|.
     """
     if not g.vertices:
         raise ValueError("empty graph")
@@ -120,12 +122,10 @@ def _class_witness(g: SimpleGraph, groups: dict[frozenset[str], list[str]]) -> F
     neighbor outside N(i), which holds for all of i's class or none, so the
     first passing class by smallest member holds the answer.  A class C
     fails exactly when V - N(C) is independent.  After a failing class P,
-    the next class C passes if it is not joined to P: then N(C) is a proper
-    subset of N(P), and some k in N(P) - N(C) is a neighbor of P outside
-    N(C).  If C is joined to P, every edge inside V - N(C) has an end in
-    N(P) - N(C), as V - N(P) is independent, so only those ends are tested.
-    Neighborhoods are unions of classes, so each class there is tested once,
-    through its smallest member; C's own neighborhood passes trivially.
+    V - N(P) is independent, so every edge inside V - N(C) has an end in
+    N(P) - N(C), and only those ends are tested.  Neighborhoods are unions
+    of classes, so each class there is tested once, through its smallest
+    member; C's own neighborhood passes trivially.
     """
     adj = g.adjacency
     classes = sorted([(min(members), nbrs) for nbrs, members in groups.items()])
@@ -133,9 +133,9 @@ def _class_witness(g: SimpleGraph, groups: dict[frozenset[str], list[str]]) -> F
     reps = frozenset(nbrs_of)
     prev = g.vertices  # so the first class is tested against all of V - N(C)
     for i, nbrs in classes:
-        if i not in prev:
-            break
-        # the smallest members in N(P) - N(C), from the smaller of reps and N(P)
+        # The smallest members in N(P) - N(C).  `&` stores every shared
+        # member and `-` only the survivors, so walk the representatives
+        # only while they are fewer than N(P), and otherwise subtract first.
         ends = (reps & prev) - nbrs if len(reps) < len(prev) else (prev - nbrs) & reps
         if not all(map(nbrs.issuperset, [nbrs_of[d] for d in ends if d != i])):
             break
