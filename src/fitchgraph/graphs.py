@@ -9,7 +9,10 @@ A :class:`SimpleGraph` holds its edges as neighbour sets, as a set of edge
 tuples, or both, and derives either form from the other on first read.
 Built, parsed and computed graphs carry neighbour sets only: every
 question this package asks of a graph is about neighbourhoods, so the
-tuples are made only when something reads ``.edges``.
+tuples are made only when something reads ``.edges``.  Builders hand
+:meth:`SimpleGraph._from_adjacency` a dict whose values may be any
+iterable of names, lists with repeats included; it freezes each value in
+place, so no second copy of the neighbour sets is ever alive.
 """
 
 from __future__ import annotations
@@ -34,10 +37,18 @@ class SimpleGraph:
     @staticmethod
     def _from_adjacency(vertices: frozenset[str], adjacency: dict[str, Iterable[str]]) -> "SimpleGraph":
         """A graph stored as neighbour sets, which must be symmetric, free of
-        self-loops and keyed by exactly *vertices*; nothing checks that."""
+        self-loops and keyed by exactly *vertices*; nothing checks that.
+
+        Takes ownership of *adjacency*: each value, any iterable of names
+        (lists with repeats included), is replaced in place by its
+        frozenset, so the caller's list or set is freed as soon as its
+        frozenset exists.  A value that is already a frozenset is kept as
+        the same object, so shared sets stay shared.
+        """
+        for v, nbrs in adjacency.items():
+            adjacency[v] = frozenset(nbrs)
         g = object.__new__(SimpleGraph)
-        frozen = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
-        g.__dict__.update(vertices=vertices, adjacency=frozen)
+        g.__dict__.update(vertices=vertices, adjacency=adjacency)
         return g
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -60,13 +71,13 @@ class SimpleGraph:
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
         verts = frozenset(vertices)
-        adj: dict[str, set[str]] = {v: set() for v in verts}
+        adj: dict[str, list[str]] = {v: [] for v in verts}
         for x, y in edges:
             if x == y:
                 raise ValueError(f"self-loop at {x!r}")
             try:
-                adj[x].add(y)
-                adj[y].add(x)
+                adj[x].append(y)
+                adj[y].append(x)
             except KeyError:
                 missing = x if x not in verts else y
                 raise ValueError(f"edge endpoint {missing!r} is not a vertex") from None
@@ -74,11 +85,13 @@ class SimpleGraph:
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+            adj[x].append(y)
+            adj[y].append(x)
+        for v, nbrs in adj.items():
+            adj[v] = frozenset(nbrs)
+        return adj
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:

@@ -238,10 +238,14 @@ def parse_edgelist(text: str) -> SimpleGraph:
     adj: dict[str, set[str]] = {v: set() for v in vertices}
     if len(adj) != len(vertices):
         raise ParseError("duplicate vertex name", line=start + 1)
+    # Each name maps to the header's own string and its neighbour set, so
+    # the sets hold the header's names and each line's split strings die
+    # with the line.
+    entry = {v: (v, nbrs) for v, nbrs in adj.items()}
     for lineno, parts in enumerate(map(str.split, lines[start + 1:]), start + 2):
         try:
             x, y = parts
-            ax, ay = adj[x], adj[y]
+            (x, ax), (y, ay) = entry[x], entry[y]
         except ValueError:
             if not parts:
                 continue
@@ -255,7 +259,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
             raise ParseError(f"duplicate edge {x} {y}", line=lineno)
         ax.add(y)
         ay.add(x)
-    del lines  # free the text's lines before the neighbour sets are copied
+    del lines, entry  # free the lines, and entry's hold on the sets, before freezing
     return SimpleGraph._from_adjacency(frozenset(adj), adj)
 
 

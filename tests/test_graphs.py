@@ -20,7 +20,7 @@ def test_built_equals_constructed_on_every_small_graph():
         for g in all_graphs("abcd"[:n]):
             pairs = [(y, x) for x, y in g.edges] + sorted(g.edges) * 2
             rng.shuffle(pairs)
-            built = SimpleGraph.build(g.vertices, pairs)
+            built = SimpleGraph.build(g.vertices, (p for p in pairs))
             assert "edges" not in built.__dict__
             assert built == g and g == built
             assert hash(built) == hash(g)
@@ -111,3 +111,25 @@ def test_readers_leave_edge_tuples_unbuilt():
         serialize_edgelist(g)
         to_dot(g)
         assert "edges" not in g.__dict__
+
+
+def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):
+    from conftest import random_graph
+
+    names = [f"v{i}" for i in range(10)]
+    blocks = [names[:4], names[4:7], names[7:]]
+    graphs = [complete_multipartite(blocks)]
+    for _ in range(10):
+        g = random_graph(rng, names, 0.4)
+        graphs += [
+            SimpleGraph.build(g.vertices, g.edges),
+            parse_edgelist(serialize_edgelist(g)),
+            g.induced(names[::2]),
+            g.complement(),
+            SimpleGraph(g.vertices, g.edges),
+        ]
+    for h in graphs:
+        assert all(type(nbrs) is frozenset for nbrs in h.adjacency.values())
+    adj = graphs[0].adjacency
+    for block in blocks:
+        assert all(adj[v] is adj[block[0]] for v in block)

@@ -191,6 +191,16 @@ class TestEdgeList:
             assert parse_edgelist(text) == g
             assert serialize_edgelist(parse_edgelist(text)) == text
 
+    def test_neighbours_are_the_header_name_objects(self, rng):
+        from conftest import random_graph
+
+        g = random_graph(rng, [f"v{i}" for i in range(30)], 0.5)
+        parsed = parse_edgelist(serialize_edgelist(g))
+        header = {v: v for v in parsed.adjacency}
+        assert all(header[v] is v for v in parsed.vertices)
+        for nbrs in parsed.adjacency.values():
+            assert all(header[y] is y for y in nbrs)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_edgelist("vertices: a\na a\n")
