@@ -10,14 +10,17 @@ walk, :attr:`fitchgraph.tree.LabeledTree.walk`, which names the
 0-component of each vertex (what is left around it once every 1-edge is
 deleted) by its highest vertex, top(v).  Two leaves are non-adjacent
 exactly when they share a top, so the undirected graph is the complete
-multipartite graph on the 0-components' leaf sets.  (x, y) is an arc
-exactly when top(y) is not the root and x is not below it: two slices of
-the walk's leaf list.  Both functions cost O(vertices + output).
+multipartite graph on the 0-components' leaf sets, with one neighbour
+set per block.  (x, y) is an arc exactly when x is not below top(y), so
+every leaf of one 0-component has the same out-neighbours: the leaves
+outside the components of its top and of the tops above it.  The
+directed graph holds one successor set per 0-component: its parent
+component's set less its own leaves.  Copying that parent set costs no
+more than the component's arcs plus its leaves, so the whole digraph
+costs O(tree + arcs).
 """
 
 from __future__ import annotations
-
-from itertools import chain, repeat
 
 from .graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from .tree import LabeledTree
@@ -61,15 +64,19 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
     """Digraph with arc (x, y) iff a 1-edge lies on the lca(x, y) .. y path."""
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")
-    names = tree.leaf_names
-    top = tree.walk.top
-    order, span = tree.walk.leaf_spans
-    # Each arc (x, y) comes from one leaf y and one side of top(y)'s interval.
-    cuts = ((span[top[v]], y) for v, y in names.items() if top[v] != tree.root)
-    arcs = frozenset(chain.from_iterable(
-        chain(zip(order[:lo], repeat(y)), zip(order[hi:], repeat(y))) for (lo, hi), y in cuts
-    ))
-    return DirectedGraph(frozenset(names.values()), arcs)
+    names, walk = tree.leaf_names, tree.walk
+    top, parent = walk.top, walk.parent
+    blocks = zero_blocks(tree)
+    # out[t]: all leaves minus those in the components of t and of the tops
+    # above it.  Parents come first in preorder; a leafless component
+    # shares its parent component's set.
+    root, leaves = tree.root, frozenset(names.values())
+    out = {root: leaves.difference(blocks.get(root, ()))}
+    for t in walk.order:
+        if top[t] == t and t != root:
+            above = out[top[parent[t]]]
+            out[t] = above.difference(blocks[t]) if t in blocks else above
+    return DirectedGraph._from_successors(leaves, {name: out[top[v]] for v, name in names.items()})
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:

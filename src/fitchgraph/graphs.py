@@ -13,16 +13,32 @@ tuples are made only when something reads ``.edges``.  Builders hand
 :meth:`SimpleGraph._from_adjacency` a dict whose values may be any
 iterable of names, lists with repeats included; it freezes each value in
 place, so no second copy of the neighbour sets is ever alive.
+
+A :class:`DirectedGraph` is kept the same way, as successor sets (name ->
+frozenset of the heads of its out-arcs) or arc tuples, and
+:meth:`DirectedGraph._from_successors` freezes in place likewise.
+Computed Fitch graphs share one frozenset among all vertices of a
+neighbourhood class, so they cost one set per class, not one per vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 
-class SimpleGraph:
+class _Immutable:
+    """Refuses assignment and deletion; a ``cached_property`` still fills
+    its slot in the instance ``__dict__`` on first read."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimpleGraph(_Immutable):
     """An undirected simple graph: no self-loops, no parallel edges.
 
     ``SimpleGraph(vertices, edges)`` takes normalized (min, max) pairs;
@@ -50,12 +66,6 @@ class SimpleGraph:
         g = object.__new__(SimpleGraph)
         g.__dict__.update(vertices=vertices, adjacency=adjacency)
         return g
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SimpleGraph:
@@ -116,25 +126,72 @@ class SimpleGraph:
         )
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    """A digraph: ordered arcs, no self-loops."""
+class DirectedGraph(_Immutable):
+    """A digraph: ordered arcs, no self-loops.
+
+    ``DirectedGraph(vertices, arcs)`` takes ordered pairs; equality and
+    hashing are on (vertices, arcs).  Like :class:`SimpleGraph` it holds
+    its arcs as successor sets, as a set of arc tuples, or both, and
+    derives either form from the other on first read; built and computed
+    digraphs carry successor sets only.
+    """
 
     vertices: frozenset[str]
-    arcs: frozenset[tuple[str, str]]
+
+    def __init__(self, vertices: frozenset[str], arcs: frozenset[tuple[str, str]]):
+        self.__dict__.update(vertices=vertices, arcs=arcs)
+
+    @staticmethod
+    def _from_successors(vertices: frozenset[str], successors: dict[str, Iterable[str]]) -> "DirectedGraph":
+        """A digraph stored as successor sets, which must be free of
+        self-loops and keyed by exactly *vertices*; nothing checks that.
+
+        Takes ownership of *successors* and freezes its values in place,
+        as :meth:`SimpleGraph._from_adjacency` does, so vertices that share
+        one frozenset keep sharing it.
+        """
+        for v, ys in successors.items():
+            successors[v] = frozenset(ys)
+        d = object.__new__(DirectedGraph)
+        d.__dict__.update(vertices=vertices, successors=successors)
+        return d
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DirectedGraph:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arcs == other.arcs
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arcs))
+
+    def __repr__(self) -> str:
+        return f"DirectedGraph(vertices={self.vertices!r}, arcs={self.arcs!r})"
 
     @staticmethod
     def build(vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "DirectedGraph":
         verts = frozenset(vertices)
-        arc_set = set()
+        succ: dict[str, list[str]] = {v: [] for v in verts}
         for x, y in arcs:
             if x == y:
                 raise ValueError(f"self-loop at {x!r}")
             if x not in verts or y not in verts:
                 missing = x if x not in verts else y
                 raise ValueError(f"arc endpoint {missing!r} is not a vertex")
-            arc_set.add((x, y))
-        return DirectedGraph(verts, frozenset(arc_set))
+            succ[x].append(y)
+        return DirectedGraph._from_successors(verts, succ)
+
+    @cached_property
+    def successors(self) -> dict[str, frozenset[str]]:
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for x, y in self.arcs:
+            succ[x].append(y)
+        for v, ys in succ.items():
+            succ[v] = frozenset(ys)
+        return succ
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        return frozenset([(x, y) for x, ys in self.successors.items() for y in ys])
 
 
 def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:

@@ -11,6 +11,9 @@ line endings) so output is stable enough for golden files.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress
+
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import LabeledTree, validate
 
@@ -263,32 +266,33 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph._from_adjacency(frozenset(adj), adj)
 
 
-def _pair_buckets(names: list[str], pairs: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
-    """Map each of the sorted *names* to the sorted second names of its pairs;
-    read in order, that is ``sorted(pairs)`` without one sort over all pairs."""
-    after: dict[str, list[str]] = {x: [] for x in names}
-    for x, y in pairs:
-        after[x].append(y)
-    for ys in after.values():
-        ys.sort()
-    return after
+def _sorted_sets(names: list[str], sets: dict[str, frozenset[str]]) -> list[tuple[str, list[str]]]:
+    """Each of the sorted *names* with its set from *sets* as a sorted list.
 
-
-def _edge_buckets(names: list[str], g: SimpleGraph) -> dict[str, list[str]]:
-    """:func:`_pair_buckets` of ``g.edges``, read from the neighbour sets."""
-    adj = g.adjacency
-    after: dict[str, list[str]] = {}
+    Vertices with equal sets share one list, built once: a set holding at
+    least half the names is read off *names* in one pass, O(n) <= O(2|set|);
+    a smaller one is sorted.
+    """
+    n = len(names)
+    lists: dict[frozenset[str], list[str]] = {}
+    out = []
     for x in names:
-        ys = [y for y in adj[x] if x < y]
-        ys.sort()
-        after[x] = ys
-    return after
+        nbrs = sets[x]
+        ys = lists.get(nbrs)
+        if ys is None:
+            if 2 * len(nbrs) >= n:
+                ys = list(compress(names, map(nbrs.__contains__, names)))
+            else:
+                ys = sorted(nbrs)
+            lists[nbrs] = ys
+        out.append((x, ys))
+    return out
 
 
-def _pair_lines(names: list[str], after: dict[str, list[str]]) -> str:
-    """The ``vertices:`` line, then one ``x y`` line per bucketed pair."""
+def _pair_lines(names: list[str], after: list[tuple[str, list[str]]]) -> str:
+    """The ``vertices:`` line, then one ``x y`` line per pair."""
     lines = ["vertices: " + " ".join(names)]
-    for x, ys in after.items():
+    for x, ys in after:
         if ys:
             head = x + " "
             lines.append(head + ("\n" + head).join(ys))
@@ -297,13 +301,14 @@ def _pair_lines(names: list[str], after: dict[str, list[str]]) -> str:
 
 def serialize_edgelist(g: SimpleGraph) -> str:
     names = sorted(g.vertices)
-    return _pair_lines(names, _edge_buckets(names, g))
+    after = [(x, ys[bisect_right(ys, x):]) for x, ys in _sorted_sets(names, g.adjacency)]
+    return _pair_lines(names, after)
 
 
 def serialize_arclist(d: DirectedGraph) -> str:
     """Arc-per-line rendering of a digraph (same layout as edge lists)."""
     names = sorted(d.vertices)
-    return _pair_lines(names, _pair_buckets(names, d.arcs))
+    return _pair_lines(names, _sorted_sets(names, d.successors))
 
 
 # --------------------------------------------------------------------------
@@ -323,10 +328,10 @@ def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
         quoted = {v: _dot_quote(v) for v in names}
         lines = ["digraph {" if directed else "graph {"]
         lines += [f"  {quoted[v]};" for v in names]
-        after = _pair_buckets(names, obj.arcs) if directed else _edge_buckets(names, obj)
-        for x, ys in after.items():
+        sets = obj.successors if directed else obj.adjacency
+        for x, ys in _sorted_sets(names, sets):
             head = f"  {quoted[x]} {'->' if directed else '--'} "
-            lines += [f"{head}{quoted[y]};" for y in ys]
+            lines += [f"{head}{quoted[y]};" for y in (ys if directed else ys[bisect_right(ys, x):])]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, LabeledTree):

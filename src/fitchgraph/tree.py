@@ -35,30 +35,11 @@ class Walk:
     parent     : vertex -> its parent; the start vertex maps to None
     top        : vertex -> the highest vertex of its 0-component, the piece
                  of the tree around it left after deleting every 1-edge
-    leaf_names : the walked tree's leaf names
     """
 
     order: list[int]
     parent: dict[int, int | None]
     top: dict[int, int]
-    leaf_names: Mapping[int, str]
-
-    @cached_property
-    def leaf_spans(self) -> tuple[list[str], dict[int, tuple[int, int]]]:
-        """The leaf names in preorder, and vertex v -> (lo, hi) such that
-        the leaves below v are names[lo:hi]."""
-        names: list[str] = []
-        lo: dict[int, int] = {}
-        for v in self.order:
-            lo[v] = len(names)
-            if v in self.leaf_names:
-                names.append(self.leaf_names[v])
-        # A vertex's last child in preorder comes first in reverse and ends its span.
-        hi: dict[int, int] = {}
-        for v in reversed(self.order):
-            hi.setdefault(v, lo[v] + (v in self.leaf_names))
-            hi.setdefault(self.parent[v], hi[v])
-        return names, {v: (lo[v], hi[v]) for v in self.order}
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ class LabeledTree:
                     parent[w] = v
                     top[w] = w if lab else top[v]
                     stack.append(w)
-        return Walk(order, parent, top, self.leaf_names)
+        return Walk(order, parent, top)
 
     @cached_property
     def name_to_leaf(self) -> dict[str, int]:

@@ -1,5 +1,7 @@
 """Tests for undirected/directed Fitch graph computation."""
 
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from fitchgraph.fitch import (
     zero_blocks,
 )
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
+from fitchgraph.io import parse_newick, serialize_arclist
 from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree
 from fitchgraph.tree import LabeledTree, reroot, restrict_leaves, suppress_degree2
@@ -31,6 +34,27 @@ def fixed_oracle_inputs(rng):
     trees = [LabeledTree.build([(0, 1, lab)], {0: "a", 1: "b"}, root=0) for lab in (0, 1)]
     trees += [caterpillar(rng, [f"c{i}" for i in range(n)]) for n in (60, 300)]
     return trees
+
+
+def rooted_at_each_inner_vertex(t):
+    return [reroot(t, v) for v in sorted(t.vertices) if not t.is_leaf(v)]
+
+
+def check_directed_against_bruteforce(t):
+    """directed_fitch(t) equals the brute-force digraph, hashes alike,
+    serializes as its sorted arcs, and gives every leaf of one 0-component
+    one shared successor set."""
+    d = directed_fitch(t)
+    text = serialize_arclist(d)
+    arcs = directed_fitch_bruteforce(t)
+    assert text == "vertices: " + " ".join(sorted(d.vertices)) + "\n" + "".join(
+        f"{x} {y}\n" for x, y in sorted(arcs)
+    )
+    expected = DirectedGraph.build(t.leaf_names.values(), arcs)
+    assert d == expected and hash(d) == hash(expected)
+    for block in zero_blocks(t).values():
+        assert all(d.successors[x] is d.successors[block[0]] for x in block)
+    return d
 
 
 def star3(*labels):
@@ -108,15 +132,35 @@ class TestDirectedFitch:
             directed_fitch(t)
 
     def test_matches_bruteforce_on_random_rooted_trees(self, rng):
-        names = [f"l{i}" for i in range(7)]
+        trees = fixed_oracle_inputs(rng)
         for _ in range(30):
-            t = random_tree(rng, names)
-            for v in sorted(t.vertices):
-                if not t.is_leaf(v):
-                    rooted = reroot(t, v)
-                    assert directed_fitch(rooted).arcs == frozenset(directed_fitch_bruteforce(rooted))
-        for t in fixed_oracle_inputs(rng):
-            assert directed_fitch(t).arcs == frozenset(directed_fitch_bruteforce(t))
+            trees += rooted_at_each_inner_vertex(random_tree(rng, [f"l{i}" for i in range(7)]))
+        for n in (3, 4, 12):
+            trees += rooted_at_each_inner_vertex(caterpillar(rng, [f"c{i}" for i in range(n)]))
+        for t in trees:
+            check_directed_against_bruteforce(t)
+
+    @pytest.mark.parametrize("p_one", [0.0, 1.0])
+    def test_uniform_labels(self, rng, p_one):
+        for _ in range(5):
+            for t in rooted_at_each_inner_vertex(random_tree(rng, [f"l{i}" for i in range(8)], p_one)):
+                d = check_directed_against_bruteforce(t)
+                if p_one == 0.0:
+                    assert d.arcs == frozenset()
+
+    def test_single_leaf(self):
+        d = check_directed_against_bruteforce(LabeledTree.single("x"))
+        assert d.successors == {"x": frozenset()}
+
+    def test_root_component_without_leaves(self):
+        # {r} and the component above e and f hold no leaf.
+        t = parse_newick("((a:0,b:0):1,(c:1,d:0):1,(e:1,f:1):1)r;")
+        d = check_directed_against_bruteforce(t)
+        everyone = frozenset("abcdef")
+        assert d.successors["a"] == everyone - {"a", "b"}
+        assert d.successors["c"] == everyone - {"c", "d"}
+        assert d.successors["d"] == everyone - {"d"}
+        assert d.successors["e"] == everyone - {"e"}
 
 
 class TestExplains:
@@ -150,6 +194,19 @@ class TestDeepTree:
         arcs = {(x, first) for x in names[1:]}
         arcs |= {(x, y) for y in bottom for x in names[:n - 2]}
         assert directed_fitch(t).arcs == arcs
+
+    def test_directed_output_scale(self):
+        # Few 1-edges, so most leaves point at most others: 1,869,272 arcs
+        # from 2,000 leaves, written at one sorted list per 0-component.
+        t = random_tree(random.Random(2000), [f"l{i}" for i in range(2000)], p_one=0.02)
+        t = reroot(t, max(v for v in t.vertices if not t.is_leaf(v)))
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            text = serialize_arclist(directed_fitch(t))
+            best = min(best, time.perf_counter() - t0)
+        assert text.count("\n") == 1 + 1_869_272
+        assert best < 0.5
 
 
 class TestUnderlyingUndirected:

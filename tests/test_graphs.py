@@ -1,4 +1,4 @@
-"""Tests for the SimpleGraph core: its two edge forms, equality and errors."""
+"""Tests for the SimpleGraph and DirectedGraph cores: their two forms, equality and errors."""
 
 import random
 import re
@@ -8,7 +8,7 @@ import pytest
 
 from fitchgraph.enumeration import all_graphs
 from fitchgraph.fitch import explains
-from fitchgraph.graphs import SimpleGraph, complete_multipartite
+from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import parse_edgelist, serialize_edgelist, to_dot
 from fitchgraph.recognition import recognize
 from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
@@ -133,3 +133,57 @@ def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):
     adj = graphs[0].adjacency
     for block in blocks:
         assert all(adj[v] is adj[block[0]] for v in block)
+
+
+def test_digraph_successor_and_arc_forms_agree():
+    rng = random.Random(11)
+    names = "abcde"
+    for n in range(len(names) + 1):
+        for _ in range(20):
+            verts = frozenset(names[:n])
+            arcs = frozenset((x, y) for x in verts for y in verts if x != y and rng.random() < 0.4)
+            constructed = DirectedGraph(verts, arcs)
+            assert "successors" not in constructed.__dict__
+            assert constructed.successors == {x: frozenset(y for u, y in arcs if u == x) for x in verts}
+            assert all(type(ys) is frozenset for ys in constructed.successors.values())
+            pairs = sorted(arcs) * 2
+            rng.shuffle(pairs)
+            built = DirectedGraph.build(verts, (p for p in pairs))
+            assert "arcs" not in built.__dict__
+            assert built.successors == constructed.successors
+            assert built == constructed and constructed == built
+            assert hash(built) == hash(constructed)
+            assert {built} == {constructed}
+            assert built.arcs == arcs
+
+
+def test_digraph_equality_sees_direction_and_vertices():
+    d = DirectedGraph.build("ab", [("a", "b")])
+    assert d != DirectedGraph.build("ab", [("b", "a")])
+    assert d != DirectedGraph.build("abc", [("a", "b")])
+    assert d != SimpleGraph.build("ab", [("a", "b")])
+
+
+def test_digraph_repr_and_immutable():
+    d = DirectedGraph.build("ab", [("b", "a")])
+    assert repr(d) == f"DirectedGraph(vertices={d.vertices!r}, arcs=frozenset({{('b', 'a')}}))"
+    for name in ("vertices", "arcs", "successors"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, frozenset())
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert d.successors == {"a": frozenset(), "b": frozenset({"a"})}
+    assert d.arcs == frozenset({("b", "a")})
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("a", "b"), ("z", "z"), ("a", "q")], "self-loop at 'z'"),
+        ([("q", "b")], "arc endpoint 'q' is not a vertex"),
+        ([("a", "r"), ("q", "b")], "arc endpoint 'r' is not a vertex"),
+    ],
+)
+def test_digraph_build_reports_first_offending_pair(pairs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DirectedGraph.build("ab", pairs)

@@ -8,7 +8,7 @@ import pytest
 
 from fitchgraph.enumeration import edge_labelings, enumerate_trees, set_partitions
 from fitchgraph.fitch import undirected_fitch
-from fitchgraph.graphs import DirectedGraph, SimpleGraph
+from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
     ParseError,
     looks_like_edgelist,
@@ -23,7 +23,7 @@ from fitchgraph.recognition import Partition
 from fitchgraph.synthesis import canonical_tree, minimal_tree
 from fitchgraph.tree import path_label_or, reroot, validate
 
-from conftest import deep_caterpillar
+from conftest import deep_caterpillar, random_graph
 
 
 class TestParseNewick:
@@ -349,6 +349,53 @@ class TestDot:
         text = serialize_arclist(d)
         assert text == "vertices: a a1 ab b\na ab\na1 a\na1 b\nab a\nb a1\nb ab\n"
         assert text == "vertices: a a1 ab b\n" + "".join(f"{x} {y}\n" for x, y in sorted(d.arcs))
+
+
+def agreement_graphs(rng):
+    """Sparse random and dense multipartite graphs, each with and without
+    one flipped edge, made by every route that yields a SimpleGraph."""
+    for _ in range(40):
+        names = [f"v{i}" for i in range(rng.randint(0, 24))]
+        rng.shuffle(names)
+        cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1))) if names else []
+        blocks = [names[i:j] for i, j in zip([0] + cuts, cuts + [len(names)])]
+        dense = complete_multipartite(blocks) if names else SimpleGraph.build([], [])
+        for g in (random_graph(rng, names, rng.choice([0.05, 0.15, 0.3])), dense):
+            variants = [g]
+            if len(names) >= 2:
+                x, y = sorted(rng.sample(names, 2))
+                variants.append(SimpleGraph.build(g.vertices, g.edges ^ {(x, y)}))
+            for h in variants:
+                pairs = [(y, x) if rng.random() < 0.5 else (x, y) for x, y in h.edges]
+                rng.shuffle(pairs)
+                text = "vertices: " + " ".join(names) + "\n" + "".join(f"{x} {y}\n" for x, y in pairs)
+                yield from (
+                    h,
+                    SimpleGraph(h.vertices, h.edges),
+                    SimpleGraph.build(h.vertices, pairs),
+                    parse_edgelist(text),
+                    h.induced(rng.sample(names, rng.randint(0, len(names)))),
+                    h.complement(),
+                )
+
+
+def test_serializers_agree_with_sorted_edges(rng):
+    # Neighbour sets holding at least half the names and smaller ones are
+    # listed by different means; both must occur.
+    large_set_seen = set()
+    for g in agreement_graphs(rng):
+        names, edges = sorted(g.vertices), sorted(g.edges)
+        large_set_seen |= {2 * len(g.adjacency[v]) >= len(names) for v in names}
+        assert serialize_edgelist(g) == (
+            "vertices: " + " ".join(names) + "\n" + "".join(f"{x} {y}\n" for x, y in edges)
+        )
+        assert to_dot(g) == (
+            "graph {\n"
+            + "".join(f'  "{v}";\n' for v in names)
+            + "".join(f'  "{x}" -- "{y}";\n' for x, y in edges)
+            + "}\n"
+        )
+    assert large_set_seen == {True, False}
 
 
 MUTATION_ALPHABET = "abcxyz01(),:;# \n-v"
