@@ -76,7 +76,7 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
         if top[t] == t and t != root:
             above = out[top[parent[t]]]
             out[t] = above.difference(blocks[t]) if t in blocks else above
-    return DirectedGraph._from_successors(leaves, {name: out[top[v]] for v, name in names.items()})
+    return DirectedGraph._from_sets(leaves, {name: out[top[v]] for v, name in names.items()})
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:

@@ -5,20 +5,17 @@ are normalized (min, max) name pairs, arcs are ordered pairs.  Both types
 are immutable and hashable, so sets of graphs work as expected -- the
 exhaustive enumeration machinery relies on that.
 
-A :class:`SimpleGraph` holds its edges as neighbour sets, as a set of edge
-tuples, or both, and derives either form from the other on first read.
-Built, parsed and computed graphs carry neighbour sets only: every
-question this package asks of a graph is about neighbourhoods, so the
-tuples are made only when something reads ``.edges``.  Builders hand
-:meth:`SimpleGraph._from_adjacency` a dict whose values may be any
-iterable of names, lists with repeats included; it freezes each value in
-place, so no second copy of the neighbour sets is ever alive.
-
-A :class:`DirectedGraph` is kept the same way, as successor sets (name ->
-frozenset of the heads of its out-arcs) or arc tuples, and
-:meth:`DirectedGraph._from_successors` freezes in place likewise.
-Computed Fitch graphs share one frozenset among all vertices of a
-neighbourhood class, so they cost one set per class, not one per vertex.
+A graph holds its pairs as a set of tuples, as a map from each vertex to
+a frozenset -- its neighbours (``SimpleGraph.adjacency``) or the heads of
+its out-arcs (``DirectedGraph.successors``) -- or both, and derives
+either form from the other on first read.  Built, parsed and computed
+graphs carry the sets only.  Every question this package asks of a graph
+reads the sets, and equality and hashing compare the sets and never build
+pair tuples, so the tuples are made only when something reads ``.edges``
+or ``.arcs``.  ``_from_sets`` freezes its builder's lists or sets in
+place, so no second copy is ever alive.  Computed Fitch graphs share one
+frozenset per neighbourhood class, so a hash reads each class's cached
+set hash.
 """
 
 from __future__ import annotations
@@ -27,9 +24,43 @@ from functools import cached_property
 from typing import Iterable
 
 
-class _Immutable:
-    """Refuses assignment and deletion; a ``cached_property`` still fills
-    its slot in the instance ``__dict__`` on first read."""
+def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
+    """Replace each value of *sets* in place by its frozenset; a value that
+    is already a frozenset stays the same object, so shared sets stay shared."""
+    for v, ys in sets.items():
+        sets[v] = frozenset(ys)
+    return sets
+
+
+class _Graph:
+    """Vertices plus a pair set (attribute ``_pairs``) or a name -> frozenset
+    map (attribute ``_sets``), the other derived on first read.
+
+    Immutable: assignment and deletion raise, though a ``cached_property``
+    still fills its slot in the instance ``__dict__`` on first read.  Two
+    graphs are equal when they are of the same class and have equal set
+    maps, and the hash is that of the map's items.  The pair constructor
+    trusts its input, so a pair naming a non-vertex raises on ``==`` and
+    ``hash``, as it does when the sets are read.
+    """
+
+    vertices: frozenset[str]
+    _pairs: str
+    _sets: str
+
+    def __init__(self, vertices: frozenset[str], pairs: frozenset[tuple[str, str]]):
+        self.__dict__.update({"vertices": vertices, self._pairs: pairs})
+
+    @classmethod
+    def _from_sets(cls, vertices: frozenset[str], sets: dict[str, Iterable[str]]):
+        """A graph stored as *sets*, which must be free of self-loops, keyed
+        by exactly *vertices* and, for a :class:`SimpleGraph`, symmetric;
+        nothing checks that.  Takes ownership of *sets* and freezes its
+        values in place, freeing each list or set once its frozenset exists.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update({"vertices": vertices, cls._sets: _freeze(sets)})
+        return g
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -37,46 +68,28 @@ class _Immutable:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-class SimpleGraph(_Immutable):
-    """An undirected simple graph: no self-loops, no parallel edges.
-
-    ``SimpleGraph(vertices, edges)`` takes normalized (min, max) pairs;
-    equality and hashing are on (vertices, edges).
-    """
-
-    vertices: frozenset[str]
-
-    def __init__(self, vertices: frozenset[str], edges: frozenset[tuple[str, str]]):
-        self.__dict__.update(vertices=vertices, edges=edges)
-
-    @staticmethod
-    def _from_adjacency(vertices: frozenset[str], adjacency: dict[str, Iterable[str]]) -> "SimpleGraph":
-        """A graph stored as neighbour sets, which must be symmetric, free of
-        self-loops and keyed by exactly *vertices*; nothing checks that.
-
-        Takes ownership of *adjacency*: each value, any iterable of names
-        (lists with repeats included), is replaced in place by its
-        frozenset, so the caller's list or set is freed as soon as its
-        frozenset exists.  A value that is already a frozenset is kept as
-        the same object, so shared sets stay shared.
-        """
-        for v, nbrs in adjacency.items():
-            adjacency[v] = frozenset(nbrs)
-        g = object.__new__(SimpleGraph)
-        g.__dict__.update(vertices=vertices, adjacency=adjacency)
-        return g
-
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SimpleGraph:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return getattr(self, self._sets) == getattr(other, self._sets)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash(frozenset(getattr(self, self._sets).items()))
 
     def __repr__(self) -> str:
-        return f"SimpleGraph(vertices={self.vertices!r}, edges={self.edges!r})"
+        pairs = getattr(self, self._pairs)
+        return f"{type(self).__name__}(vertices={self.vertices!r}, {self._pairs}={pairs!r})"
+
+
+class SimpleGraph(_Graph):
+    """An undirected simple graph: no self-loops, no parallel edges.
+
+    ``SimpleGraph(vertices, edges)`` takes normalized (min, max) pairs.
+    Equality follows the neighbour sets, so an unnormalized edge compares
+    equal to its normalized twin.
+    """
+
+    _pairs, _sets = "edges", "adjacency"
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
@@ -91,7 +104,7 @@ class SimpleGraph(_Immutable):
             except KeyError:
                 missing = x if x not in verts else y
                 raise ValueError(f"edge endpoint {missing!r} is not a vertex") from None
-        return SimpleGraph._from_adjacency(verts, adj)
+        return SimpleGraph._from_sets(verts, adj)
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -99,9 +112,7 @@ class SimpleGraph(_Immutable):
         for x, y in self.edges:
             adj[x].append(y)
             adj[y].append(x)
-        for v, nbrs in adj.items():
-            adj[v] = frozenset(nbrs)
-        return adj
+        return _freeze(adj)
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -117,55 +128,21 @@ class SimpleGraph(_Immutable):
         keep = frozenset(names)
         if not keep <= self.vertices:
             raise ValueError("induced subgraph on non-vertices")
-        return SimpleGraph._from_adjacency(keep, {v: self.adjacency[v] & keep for v in keep})
+        return SimpleGraph._from_sets(keep, {v: self.adjacency[v] & keep for v in keep})
 
     def complement(self) -> "SimpleGraph":
         verts = self.vertices
-        return SimpleGraph._from_adjacency(
-            verts, {v: verts - nbrs - {v} for v, nbrs in self.adjacency.items()}
-        )
+        return SimpleGraph._from_sets(verts, {v: verts - nbrs - {v} for v, nbrs in self.adjacency.items()})
 
 
-class DirectedGraph(_Immutable):
+class DirectedGraph(_Graph):
     """A digraph: ordered arcs, no self-loops.
 
-    ``DirectedGraph(vertices, arcs)`` takes ordered pairs; equality and
-    hashing are on (vertices, arcs).  Like :class:`SimpleGraph` it holds
-    its arcs as successor sets, as a set of arc tuples, or both, and
-    derives either form from the other on first read; built and computed
-    digraphs carry successor sets only.
+    ``DirectedGraph(vertices, arcs)`` takes ordered pairs; equality
+    follows the successor sets, so it sees arc direction.
     """
 
-    vertices: frozenset[str]
-
-    def __init__(self, vertices: frozenset[str], arcs: frozenset[tuple[str, str]]):
-        self.__dict__.update(vertices=vertices, arcs=arcs)
-
-    @staticmethod
-    def _from_successors(vertices: frozenset[str], successors: dict[str, Iterable[str]]) -> "DirectedGraph":
-        """A digraph stored as successor sets, which must be free of
-        self-loops and keyed by exactly *vertices*; nothing checks that.
-
-        Takes ownership of *successors* and freezes its values in place,
-        as :meth:`SimpleGraph._from_adjacency` does, so vertices that share
-        one frozenset keep sharing it.
-        """
-        for v, ys in successors.items():
-            successors[v] = frozenset(ys)
-        d = object.__new__(DirectedGraph)
-        d.__dict__.update(vertices=vertices, successors=successors)
-        return d
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DirectedGraph:
-            return NotImplemented
-        return self.vertices == other.vertices and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"DirectedGraph(vertices={self.vertices!r}, arcs={self.arcs!r})"
+    _pairs, _sets = "arcs", "successors"
 
     @staticmethod
     def build(vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "DirectedGraph":
@@ -178,20 +155,35 @@ class DirectedGraph(_Immutable):
                 missing = x if x not in verts else y
                 raise ValueError(f"arc endpoint {missing!r} is not a vertex")
             succ[x].append(y)
-        return DirectedGraph._from_successors(verts, succ)
+        return DirectedGraph._from_sets(verts, succ)
 
     @cached_property
     def successors(self) -> dict[str, frozenset[str]]:
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.arcs:
             succ[x].append(y)
-        for v, ys in succ.items():
-            succ[v] = frozenset(ys)
-        return succ
+        return _freeze(succ)
 
     @cached_property
     def arcs(self) -> frozenset[tuple[str, str]]:
         return frozenset([(x, y) for x, ys in self.successors.items() for y in ys])
+
+
+def disjoint_blocks(blocks: Iterable[Iterable[str]]) -> tuple[list[frozenset[str]], frozenset[str]]:
+    """The blocks as frozensets, and their union.
+
+    Raises ``ValueError`` on the first block that is empty or meets an
+    earlier one.
+    """
+    frozen = [frozenset(b) for b in blocks]
+    union: set[str] = set()
+    for b in frozen:
+        if not b:
+            raise ValueError("empty block")
+        if not union.isdisjoint(b):
+            raise ValueError("blocks are not disjoint")
+        union |= b
+    return frozen, frozenset(union)
 
 
 def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
@@ -200,17 +192,9 @@ def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
     Every pair of vertices from different blocks is joined by an edge;
     pairs within a block are not.  One block gives the edge-less graph.
     """
-    block_list = [frozenset(b) for b in blocks]
-    verts: set[str] = set()
-    for b in block_list:
-        if not b:
-            raise ValueError("empty block")
-        if verts & b:
-            raise ValueError("blocks are not disjoint")
-        verts |= b
+    block_list, verts = disjoint_blocks(blocks)
     # Every member of a block shares one neighbour set: O(V) per block.
-    all_verts = frozenset(verts)
     adj: dict[str, frozenset[str]] = {}
     for b in block_list:
-        adj.update(dict.fromkeys(b, all_verts - b))
-    return SimpleGraph._from_adjacency(all_verts, adj)
+        adj.update(dict.fromkeys(b, verts - b))
+    return SimpleGraph._from_sets(verts, adj)

@@ -263,7 +263,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
         ax.add(y)
         ay.add(x)
     del lines, entry  # free the lines, and entry's hold on the sets, before freezing
-    return SimpleGraph._from_adjacency(frozenset(adj), adj)
+    return SimpleGraph._from_sets(frozenset(adj), adj)
 
 
 def _sorted_sets(names: list[str], sets: dict[str, frozenset[str]]) -> list[tuple[str, list[str]]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, disjoint_blocks
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,7 @@ class Partition:
 
     @staticmethod
     def canonical(blocks: Iterable[Iterable[str]]) -> "Partition":
-        frozen = [frozenset(b) for b in blocks]
-        seen: set[str] = set()
-        for b in frozen:
-            if not b:
-                raise ValueError("empty block")
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
+        frozen, _ = disjoint_blocks(blocks)
         frozen.sort(key=lambda b: (-len(b), min(b)))
         return Partition(tuple(frozen))
 

@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from fitchgraph.enumeration import all_graphs
-from fitchgraph.fitch import explains
+from fitchgraph.fitch import directed_fitch, explains, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
-from fitchgraph.io import parse_edgelist, serialize_edgelist, to_dot
-from fitchgraph.recognition import recognize
+from fitchgraph.io import parse_edgelist, parse_newick, serialize_edgelist, to_dot
+from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
 
 
@@ -187,3 +187,55 @@ def test_digraph_repr_and_immutable():
 def test_digraph_build_reports_first_offending_pair(pairs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DirectedGraph.build("ab", pairs)
+
+
+def test_equality_and_hash_leave_pair_tuples_unbuilt():
+    blocks = [["a", "b", "c"], ["d", "e"], ["f"]]
+    cross = [(x, y) for b1, b2 in combinations(blocks, 2) for x in b1 for y in b2]
+    tree = parse_newick("((a:0,b:0,c:0):1,(d:0,e:0):1,f:1)r;")
+    arcs = [(x, y) for x in "abcdef" for y in "abcdef" if x != y and not {x, y} <= set("abc")
+            and not {x, y} <= set("de")]
+    undirected = [
+        lambda: SimpleGraph.build("abcdef", cross),
+        lambda: parse_edgelist(serialize_edgelist(SimpleGraph.build("abcdef", cross))),
+        lambda: complete_multipartite(blocks),
+        lambda: undirected_fitch(tree),
+    ]
+    directed = [lambda: directed_fitch(tree), lambda: DirectedGraph.build("abcdef", arcs)]
+    for makers, pairs in ((undirected, "edges"), (directed, "arcs")):
+        for make_a, make_b in combinations(makers, 2):
+            a, b = make_a(), make_b()
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+            assert pairs not in a.__dict__ and pairs not in b.__dict__
+
+
+def test_equality_follows_the_neighbour_sets():
+    normalized = SimpleGraph(frozenset("ab"), frozenset({("a", "b")}))
+    twin = SimpleGraph(frozenset("ab"), frozenset({("b", "a")}))
+    assert twin == normalized and hash(twin) == hash(normalized)
+    stray = SimpleGraph(frozenset("ab"), frozenset({("a", "z")}))
+    for probe in (lambda: stray == normalized, lambda: hash(stray), lambda: stray.adjacency):
+        with pytest.raises(KeyError):
+            probe()
+
+
+def test_induced_on_non_vertices_rejected():
+    with pytest.raises(ValueError, match="^induced subgraph on non-vertices$"):
+        SimpleGraph.build("ab", []).induced("az")
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([["a", "b"], [], ["c"]], "empty block"),
+        ([["a", "b"], ["c"], ["b", "d"]], "blocks are not disjoint"),
+        ([[], ["a"], ["a"]], "empty block"),
+        ([["a"], ["a"], []], "blocks are not disjoint"),
+    ],
+)
+@pytest.mark.parametrize("entry", [complete_multipartite, Partition.canonical])
+def test_block_check_reports_first_bad_block(entry, blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(blocks)

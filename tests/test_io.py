@@ -90,6 +90,10 @@ class TestParseNewick:
         t = parse_newick("( a:0 ,\r\n b:1 )r;\n")
         assert sorted(t.leaf_names.values()) == ["a", "b"]
 
+    def test_unnamed_root_with_one_child_rejected(self):
+        with pytest.raises(ParseError, match="^root with a single child needs a name"):
+            parse_newick("(a:0);")
+
     def test_error_carries_position(self):
         try:
             parse_newick("(a:0,b:7)r;")
@@ -313,6 +317,10 @@ class TestDot:
         text = to_dot(t)
         assert text.count('[label="1"]') == 2
         assert '[label="a"]' in text
+
+    def test_other_objects_rejected(self):
+        with pytest.raises(TypeError, match="^cannot render int as DOT$"):
+            to_dot(3)
 
     def test_deterministic(self):
         g = SimpleGraph.build("abcd", [("d", "a"), ("c", "b")])

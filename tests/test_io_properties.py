@@ -52,7 +52,7 @@ class TestEdgeListProperties:
         st.sampled_from([" ", "\t", "\x0b", " \x1c"]),
     )
     def test_accepted_adjacency_is_well_formed(self, g, extra, newline, sep):
-        # _from_adjacency trusts the parser for all three conditions.  Extra
+        # _from_sets trusts the parser for all three conditions.  Extra
         # edge lines may repeat an edge, join a name to itself or name a
         # vertex the header lacks.
         lines = serialize_edgelist(g).split("\n")
