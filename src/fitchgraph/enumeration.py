@@ -8,21 +8,25 @@ of realizable graphs on n leaves must be the n-th Bell number -- the
 characterization check compares the realized set against the recognizer's
 verdicts graph by graph.
 
-Everything here is deliberately brute force; the hard caps keep the
-combinatorics at desk scale.
+The census is deliberately brute force; the hard caps keep the
+combinatorics at desk scale, and the topologies on n leaves are grown
+once per process.  :func:`minimum_tree_size` needs no sweep: a tree
+explains g exactly when its 0-components cut the leaves into g's blocks,
+so one forced labeling per topology decides whether it can explain g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from string import ascii_lowercase
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .fitch import explains, undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
 from .recognition import Partition, recognize
-from .tree import Edge, LabeledTree
+from .tree import Edge, LabeledTree, edge_key
 
 MAX_TOPOLOGY_LEAVES = 6
 MAX_REALIZABLE_LEAVES = 5
@@ -60,6 +64,42 @@ def _default_names(n: int) -> list[str]:
     return list(ascii_lowercase[:n])
 
 
+class _Topology(NamedTuple):
+    """An unlabeled topology: its vertex ids, its sorted normalized edges,
+    ``leaves[i]``, the vertex that carries the i-th leaf name, and
+    ``upward``, the (vertex, parent) pairs of its walk, children first."""
+
+    vertices: frozenset[int]
+    edges: tuple[Edge, ...]
+    leaves: tuple[int, ...]
+    upward: tuple[tuple[int, int], ...]
+
+
+def _topology(vertices: frozenset[int], edges: list[Edge], leaves: tuple[int, ...]) -> _Topology:
+    edges = sorted(edges)
+    walk = LabeledTree(vertices, dict.fromkeys(edges, 0), {}).walk
+    upward = tuple((v, walk.parent[v]) for v in reversed(walk.order[1:]))
+    return _Topology(vertices, tuple(edges), leaves, upward)
+
+
+@cache
+def _topologies(n: int) -> tuple[_Topology, ...]:
+    """Every topology on n >= 2 leaves, grown once from those on n - 1."""
+    if n == 2:
+        return (_topology(frozenset({0, 1}), [(0, 1)], (0, 1)),)
+    grown: list[_Topology] = []
+    for vertices, edges, leaves, _ in _topologies(n - 1):
+        fresh = max(vertices) + 1
+        for u, v in edges:  # subdivide (u, v) by a new vertex holding the new leaf
+            mid, leaf = fresh, fresh + 1
+            rest = [e for e in edges if e != (u, v)]
+            rest += [(u, mid), (v, mid), (mid, leaf)]
+            grown.append(_topology(vertices | {mid, leaf}, rest, leaves + (leaf,)))
+        for x in sorted(vertices.difference(leaves)):  # hang the new leaf on x
+            grown.append(_topology(vertices | {fresh}, [*edges, (x, fresh)], leaves + (fresh,)))
+    return tuple(grown)
+
+
 def enumerate_trees(n: int, names: Sequence[str] | None = None) -> list[LabeledTree]:
     """Every unrooted tree on n named leaves with all internal degrees >= 3.
 
@@ -67,40 +107,20 @@ def enumerate_trees(n: int, names: Sequence[str] | None = None) -> list[LabeledT
     subdivided edge or directly at an inner vertex.  No tree comes out
     twice: removing the newest leaf, and suppressing its neighbour if that
     leaves it with degree 2, undoes either move, so each tree comes from
-    exactly one parent tree and one insertion site.  Edge labels of the
-    returned trees are all 0 and stand for "unassigned"; sweep them with
-    :func:`edge_labelings`.
+    exactly one parent tree and one insertion site.  The topologies are
+    grown once per n; each call names their leaves, in the order given,
+    and returns fresh trees.  Edge labels of the returned trees are all 0
+    and stand for "unassigned"; sweep them with :func:`edge_labelings`.
     """
     if not 2 <= n <= MAX_TOPOLOGY_LEAVES:
         raise ValueError(f"n out of supported range 2..{MAX_TOPOLOGY_LEAVES}")
     leaf_names = _default_names(n) if names is None else list(names)
     if len(leaf_names) != n or len(set(leaf_names)) != n:
         raise ValueError("need exactly n distinct leaf names")
-    base = LabeledTree.build([(0, 1, 0)], {0: leaf_names[0], 1: leaf_names[1]})
-    trees = [base]
-    for name in leaf_names[2:]:
-        grown: list[LabeledTree] = []
-        for tree in trees:
-            fresh = max(tree.vertices) + 1
-            for u, v in sorted(tree.edge_labels):
-                mid, leaf = fresh, fresh + 1
-                edges = [
-                    (a, b, 0) for (a, b) in tree.edge_labels if (a, b) != (u, v)
-                ]
-                edges += [(u, mid, 0), (mid, v, 0), (mid, leaf, 0)]
-                new_names = dict(tree.leaf_names)
-                new_names[leaf] = name
-                grown.append(LabeledTree.build(edges, new_names))
-            for x in sorted(tree.vertices):
-                if tree.is_leaf(x):
-                    continue
-                edges = [(a, b, 0) for (a, b) in tree.edge_labels]
-                edges.append((x, fresh, 0))
-                new_names = dict(tree.leaf_names)
-                new_names[fresh] = name
-                grown.append(LabeledTree.build(edges, new_names))
-        trees = grown
-    return trees
+    return [
+        LabeledTree(t.vertices, dict.fromkeys(t.edges, 0), dict(zip(t.leaves, leaf_names)))
+        for t in _topologies(n)
+    ]
 
 
 def edge_labelings(tree: LabeledTree) -> Iterator[LabeledTree]:
@@ -182,21 +202,36 @@ def verify_characterization(n: int) -> CharacterizationFailure | None:
 def minimum_tree_size(g: SimpleGraph) -> int:
     """Fewest vertices over all edge-labeled trees explaining *g*.
 
-    Exhausts every topology on the leaf set of *g* and every labeling;
-    any explaining tree suppresses to one of these, so the search space
-    covers the true minimum.  Only defined for complete multipartite
-    graphs of at most MAX_REALIZABLE_LEAVES vertices.
+    Any explaining tree suppresses to one of the topologies on the leaf
+    set of *g*, tried here by increasing vertex count.  An explaining
+    labeling puts 0 on every edge that some block of *g* has leaves on
+    both sides of; the forced labeling, 0 on exactly those edges and 1 on
+    the rest, keeps all its 1s, so it explains *g* whenever any labeling
+    of the topology does.  Only defined for complete multipartite graphs
+    of at most MAX_REALIZABLE_LEAVES vertices.
     """
     n = len(g.vertices)
     if n > MAX_REALIZABLE_LEAVES:
         raise ValueError(f"graph too large (max {MAX_REALIZABLE_LEAVES} vertices)")
-    if not isinstance(recognize(g), Partition):
+    partition = recognize(g)
+    if not isinstance(partition, Partition):
         raise ValueError("graph is not a Fitch graph")
     if n == 1:
         return 1
-    topologies = sorted(enumerate_trees(n, sorted(g.vertices)), key=lambda t: len(t.vertices))
-    for topo in topologies:
-        if any(explains(t, g) for t in edge_labelings(topo)):
+    names = sorted(g.vertices)
+    for topo in sorted(_topologies(n), key=lambda t: len(t.vertices)):
+        leaf_names = dict(zip(topo.leaves, names))
+        below: dict[int, set[str]] = {v: set() for v in topo.vertices}
+        for v, name in leaf_names.items():
+            below[v].add(name)
+        labels: dict[Edge, int] = {}
+        for v, up in topo.upward:  # the edge (v, up) has the leaves below v on one side
+            side = below[v]
+            labels[edge_key(v, up)] = int(
+                all(b <= side or b.isdisjoint(side) for b in partition.blocks)
+            )
+            below[up] |= side
+        if explains(LabeledTree(topo.vertices, labels, leaf_names), g):
             return len(topo.vertices)
     raise AssertionError("no explaining tree found for a multipartite graph")
 

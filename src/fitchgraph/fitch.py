@@ -80,6 +80,17 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:
-    """Forget arc directions."""
-    edges = frozenset((x, y) if x < y else (y, x) for x, y in d.arcs)
-    return SimpleGraph(d.vertices, edges)
+    """Forget arc directions: each neighbour set is successors | predecessors.
+
+    The predecessors come from one inversion that reads each distinct
+    successor set once; a Fitch digraph has one per 0-component.
+    """
+    succ = d.successors
+    tails: dict[frozenset[str], list[str]] = {}
+    for x, ys in succ.items():
+        tails.setdefault(ys, []).append(x)
+    pred: dict[str, list[str]] = {v: [] for v in d.vertices}
+    for ys, xs in tails.items():
+        for y in ys:
+            pred[y] += xs
+    return SimpleGraph._from_sets(d.vertices, {v: succ[v].union(pred[v]) for v in d.vertices})

@@ -161,10 +161,9 @@ def recognize_bruteforce(g: SimpleGraph) -> RecognitionResult:
     # float64 lets numpy multiply through BLAS; every count is at most
     # n^2 < 2^53, so the arithmetic stays exact.
     adj = np.zeros((n, n))
-    for x, y in g.edges:
-        i, j = index[x], index[y]
-        adj[i, j] = 1
-        adj[j, i] = 1
+    nbrs = g.adjacency
+    rows = np.repeat(np.arange(n), [len(nbrs[x]) for x in names])
+    adj[rows, np.array([index[y] for x in names for y in nbrs[x]], dtype=np.intp)] = 1
     non = 1 - adj - np.eye(n)
     bad_counts = ((non @ adj) * non).sum(axis=1)
     if bad_counts.any():

@@ -4,7 +4,8 @@ The oracles here deliberately take different routes than the library:
 path label ORs are recomputed by walking explicit edge paths, LCAs as the
 deepest vertex shared by two explicit root paths, multipartite
 membership is re-decided through complement components, least-resolution
-by contracting every inner edge, Bell numbers come from the binomial
+by contracting every inner edge, the smallest explaining tree by sweeping
+every labeling of topologies grown anew, Bell numbers come from the binomial
 recurrence instead of the Bell triangle, and topology counts from the
 rooted series-reduced tree recurrence.  Agreement between routes is
 what the tests assert.
@@ -18,7 +19,9 @@ from math import comb
 
 import pytest
 
+from fitchgraph.fitch import explains
 from fitchgraph.graphs import SimpleGraph
+from fitchgraph.recognition import Partition, recognize
 from fitchgraph.tree import Edge, LabeledTree, contract_edge, edge_key
 
 
@@ -173,6 +176,43 @@ def series_reduced_rooted_count(m: int) -> int:
             product *= series_reduced_rooted_count(len(b))
         total += product
     return total
+
+
+def trees_by_insertion(names: list[str]) -> list[LabeledTree]:
+    """Every topology on the named leaves, all edges labeled 0, grown anew
+    by inserting the names one at a time: on a subdivided edge, in sorted
+    edge order, then at each inner vertex, in sorted vertex order."""
+    trees = [LabeledTree.build([(0, 1, 0)], {0: names[0], 1: names[1]})]
+    for name in names[2:]:
+        grown: list[LabeledTree] = []
+        for tree in trees:
+            fresh = max(tree.vertices) + 1
+            for u, v in sorted(tree.edge_labels):
+                mid, leaf = fresh, fresh + 1
+                edges = [(a, b, 0) for (a, b) in tree.edge_labels if (a, b) != (u, v)]
+                edges += [(u, mid, 0), (mid, v, 0), (mid, leaf, 0)]
+                grown.append(LabeledTree.build(edges, {**tree.leaf_names, leaf: name}))
+            for x in sorted(tree.vertices):
+                if not tree.is_leaf(x):
+                    edges = [(a, b, 0) for (a, b) in tree.edge_labels] + [(x, fresh, 0)]
+                    grown.append(LabeledTree.build(edges, {**tree.leaf_names, fresh: name}))
+        trees = grown
+    return trees
+
+
+def minimum_tree_size_bruteforce(g: SimpleGraph) -> int:
+    """Fewest vertices of an explaining tree, by sweeping all 2^|E|
+    labelings of every topology on g's vertices, smallest topologies first."""
+    from fitchgraph.enumeration import edge_labelings
+
+    assert isinstance(recognize(g), Partition)
+    if len(g.vertices) == 1:
+        return 1
+    topologies = sorted(trees_by_insertion(sorted(g.vertices)), key=lambda t: len(t.vertices))
+    for topo in topologies:
+        if any(explains(t, g) for t in edge_labelings(topo)):
+            return len(topo.vertices)
+    raise AssertionError("no explaining tree found for a multipartite graph")
 
 
 # -- random structure generators ---------------------------------------------

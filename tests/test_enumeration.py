@@ -20,7 +20,16 @@ from fitchgraph.fitch import undirected_fitch, directed_fitch, underlying_undire
 from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.tree import reroot, restrict_leaves, validate
 
-from conftest import bell_binomial, series_reduced_rooted_count, split_system
+from conftest import (
+    bell_binomial,
+    minimum_tree_size_bruteforce,
+    series_reduced_rooted_count,
+    split_system,
+    trees_by_insertion,
+)
+
+# Names whose sorted order differs from the given order.
+SHUFFLED = ["q", "b", "zz", "a1", "m", "c7"]
 
 N3_REPORT = """\
 leaves: 3
@@ -103,6 +112,20 @@ class TestEnumerateTrees:
         trees = enumerate_trees(3, ["x", "y", "z"])
         assert trees[0].leaf_name_set == frozenset({"x", "y", "z"})
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_trees_as_insertion_anew(self, n):
+        # same ids, edges and leaf map, in the same order
+        assert enumerate_trees(n, SHUFFLED[:n]) == trees_by_insertion(SHUFFLED[:n])
+        assert enumerate_trees(n) == trees_by_insertion(list(ascii_lowercase[:n]))
+
+    def test_returned_trees_are_fresh(self):
+        first = enumerate_trees(4)
+        for t in first:
+            t.edge_labels[min(t.edge_labels)] = 1
+            t.edge_labels[(98, 99)] = 0
+            t.leaf_names[0] = "zz"
+        assert enumerate_trees(4) == trees_by_insertion(list("abcd"))
+
 
 class TestEdgeLabelings:
     def test_counts(self):
@@ -170,6 +193,12 @@ class TestMinimumTreeSize:
         g = SimpleGraph.build("abcdef", [])
         with pytest.raises(ValueError, match="too large"):
             minimum_tree_size(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_full_sweep(self, n):
+        for blocks in set_partitions(SHUFFLED[:n]):
+            g = complete_multipartite(blocks)
+            assert minimum_tree_size(g) == minimum_tree_size_bruteforce(g), blocks
 
 
 class TestSweeps:
