@@ -7,17 +7,26 @@ continue with one ``<name> <name>`` line per edge; ``#`` starts a comment.
 All parsers raise :class:`ParseError` with a position on malformed input
 and never anything else; serializers emit a canonical form (sorted, LF
 line endings) so output is stable enough for golden files.
+
+Newick is split into tokens (``( ) : , ;`` and the runs between them) in
+one regular-expression pass; one recursive descent over the tokens builds
+the tree, and offsets are recovered only for an error.  The descent takes
+one call per nesting level, so input nested beyond Python's recursion
+limit (about 1,000 levels) raises ``RecursionError``, a known defect.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, count, islice
+from typing import Iterator
 
 from .graphs import DirectedGraph, SimpleGraph
-from .tree import LabeledTree, validate
+from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
 
-_NAME_STOP = set("():,;")
+_TOKEN = re.compile(r"[():,;]|[^\s():,;]+")  # \s is exactly what str.isspace accepts
+_NAME_STOP = {"(", ")", ":", ",", ";", ""}  # tokens that are not names; '' ends the input
 
 
 class ParseError(ValueError):
@@ -44,119 +53,74 @@ def _normalize(text: str) -> str:
 # --------------------------------------------------------------------------
 
 
-class _NewickParser:
-    """Recursive-descent parser; every path out is a tree or a ParseError."""
+def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, int],
+             leaves: dict[str, int]) -> tuple[int, int, str | None]:
+    """Read the subtree that starts at token *i*, giving ids in preorder.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.next_id = 0
-        self.edges: list[tuple[int, int, int]] = []
-        self.leaf_names: dict[int, str] = {}
-        self.name_positions: dict[str, int] = {}
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, pos=self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fresh(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        return v
-
-    def read_name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in _NAME_STOP or c.isspace():
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def parse(self) -> LabeledTree:
-        self.skip_ws()
-        root, name = self.parse_node()
-        self.skip_ws()
-        if self.peek() != ";":
-            raise self.error("expected ';'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing characters after ';'")
-        return self.finish(root, name)
-
-    def parse_node(self) -> tuple[int, str]:
-        """Returns (vertex id, trailing name); the name may be empty."""
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            node = self.fresh()
-            while True:
-                # a trailing name on a group child names a non-leaf node
-                # (parent here plus its own children): ignored
-                child, _ = self.parse_node()
-                self.skip_ws()
-                if self.peek() != ":":
-                    raise self.error("missing edge label (expected ':0' or ':1')")
-                self.pos += 1
-                self.skip_ws()
-                label_pos = self.pos
-                label = self.read_name()
-                if label not in ("0", "1"):
-                    raise ParseError("edge label must be 0 or 1", pos=label_pos)
-                self.edges.append((node, child, int(label)))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                if self.peek() == ")":
-                    self.pos += 1
-                    break
-                raise self.error("expected ',' or ')'")
-            self.skip_ws()
-            return node, self.read_name()
-        name_pos = self.pos
-        name = self.read_name()
-        if not name:
-            raise self.error("expected a leaf name or '('")
-        node = self.fresh()
-        self.register_name(node, name, name_pos)
-        return node, ""
-
-    def register_name(self, node: int, name: str, pos: int) -> None:
-        if name in self.name_positions:
-            raise ParseError(f"duplicate leaf name {name!r}", pos=pos)
-        self.name_positions[name] = pos
-        self.leaf_names[node] = name
-
-    def finish(self, root: int, root_name: str) -> LabeledTree:
-        degree: dict[int, int] = {v: 0 for v in range(self.next_id)}
-        for u, v, _ in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        if root_name and degree[root] <= 1:
-            self.register_name(root, root_name, self.pos)
-        for v, d in degree.items():
-            # only the root can end up here: every other group node has
-            # degree >= 2 and every bare token was named at parse time
-            if d == 1 and v not in self.leaf_names:
-                raise ParseError("root with a single child needs a name", pos=0)
-        tree = LabeledTree.build(self.edges, self.leaf_names, root=root)
-        problem = validate(tree)
-        if problem is not None:
-            raise ParseError(problem, pos=0)
-        return tree
+    Returns the index after it, its vertex, and, for a group with one
+    child, the name after its ``)`` ('' if none), else None: that name
+    names the group only when the group is the root, a leaf of the tree.
+    Raises ParseError with a token index as its position.
+    """
+    node = next(ids)
+    if tokens[i] != "(":
+        name = tokens[i]
+        if name in _NAME_STOP:
+            raise ParseError("expected a leaf name or '('", i)
+        if name in leaves:
+            raise ParseError(f"duplicate leaf name {name!r}", i)
+        leaves[name] = node
+        return i + 1, node, None
+    children = 0
+    while True:
+        # a name after a group child's ')' names an inner vertex: ignored
+        i, child, _ = _subtree(tokens, i + 1, ids, labels, leaves)
+        if tokens[i] != ":":
+            raise ParseError("missing edge label (expected ':0' or ':1')", i)
+        label = tokens[i + 1]
+        if label not in ("0", "1"):
+            raise ParseError("edge label must be 0 or 1", i + 1)
+        labels[node, child] = int(label)
+        children += 1
+        i += 2
+        if tokens[i] != ",":
+            break
+    if tokens[i] != ")":
+        raise ParseError("expected ',' or ')'", i)
+    name = tokens[i + 1]
+    if name in _NAME_STOP:
+        return i + 1, node, "" if children == 1 else None
+    return i + 2, node, name if children == 1 else None
 
 
 def parse_newick(text: str) -> LabeledTree:
     """Parse a Newick string into a rooted tree (root = outermost node)."""
-    return _NewickParser(_normalize(text)).parse()
+    text = _normalize(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+    ids = count()
+    labels: dict[Edge, int] = {}
+    leaves: dict[str, int] = {}
+    try:
+        i, root, root_name = _subtree(tokens, 0, ids, labels, leaves)
+        if tokens[i] != ";":
+            raise ParseError("expected ';'", i)
+        if tokens[i + 1]:
+            raise ParseError("trailing characters after ';'", i + 1)
+    except ParseError as exc:
+        at = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
+        raise ParseError(exc.message, at.start() if at else len(text)) from None
+    if root_name is not None:  # the root has one child, so it is a leaf
+        if not root_name:
+            raise ParseError("root with a single child needs a name", pos=0)
+        if root_name in leaves:
+            raise ParseError(f"duplicate leaf name {root_name!r}", pos=len(text))
+        leaves[root_name] = root
+    # Valid by construction, so validate() is not called: ids run 0..n-1
+    # from the root, every edge is (parent, child) = (min, max) with a 0/1
+    # label, and every leaf carries a unique non-empty name.
+    names = {v: name for name, v in leaves.items()}
+    return LabeledTree(frozenset(range(next(ids))), labels, names, root)
 
 
 def serialize_newick(tree: LabeledTree) -> str:

@@ -1,5 +1,6 @@
 """Tests for Newick / edge-list parsing, serialization, and DOT export."""
 
+import gc
 import random
 from itertools import combinations
 from string import ascii_lowercase
@@ -101,6 +102,51 @@ class TestParseNewick:
             assert exc.pos == 7
         else:
             pytest.fail("expected ParseError")
+
+    @pytest.mark.parametrize(
+        "text, message, pos",
+        [
+            ("(a:0,b:0)r", "expected ';'", 10),  # at the end of the input
+            ("(a:0,b:0)r x;", "expected ';'", 11),
+            ("a b;", "expected ';'", 2),
+            ("(a:0,b:0)r; oops", "trailing characters after ';'", 12),
+            ("(a:0,b:0)r;;", "trailing characters after ';'", 11),
+            ("(a,b:0)r;", "missing edge label (expected ':0' or ':1')", 2),
+            ("(a:0.5,b:0)r;", "edge label must be 0 or 1", 3),
+            ("(a:,b:0)r;", "edge label must be 0 or 1", 3),
+            ("(a:0,b:", "edge label must be 0 or 1", 7),
+            ("(a:0 b:0)r;", "expected ',' or ')'", 5),
+            ("(a:0,b:0", "expected ',' or ')'", 8),
+            ("(:0,b:0)r;", "expected a leaf name or '('", 1),
+            ("()r;", "expected a leaf name or '('", 1),
+            ("", "expected a leaf name or '('", 0),
+            ("  ", "expected a leaf name or '('", 2),
+            ("(x:0,x:1)r;", "duplicate leaf name 'x'", 5),
+            ("(a:0)a;", "duplicate leaf name 'a'", 7),  # a root name: at the end
+            ("(a:0) a ;", "duplicate leaf name 'a'", 9),
+            ("(a:0);", "root with a single child needs a name", 0),
+            # offsets count the text after CRLF and CR become LF
+            ("( a:0 ,\r\n b:7 )r;", "edge label must be 0 or 1", 11),
+            ("\t(a:0,\r\n\r\n  b:0)r;\r\n x", "trailing characters after ';'", 18),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse_newick(text)
+        assert (err.value.message, err.value.pos) == (message, pos)
+
+    @pytest.mark.parametrize("text", ["((a:0,b:0):1,c:1)r;", "((a:0,b:0):1,c:7)r;"])
+    def test_leaves_no_cyclic_garbage(self, text):
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                parse_newick(text)
+            except ParseError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSerializeNewick:

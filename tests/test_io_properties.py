@@ -1,4 +1,4 @@
-"""Hypothesis properties of edge-list parsing and serialization."""
+"""Hypothesis properties of edge-list and Newick parsing and serialization."""
 
 from itertools import combinations
 
@@ -6,20 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fitchgraph.graphs import SimpleGraph
-from fitchgraph.io import ParseError, parse_edgelist, serialize_edgelist
-
-
-# Names hold no '#' and no character that str.isspace accepts: the space
-# separators (Zs, Zl, Zp) and the listed control characters.
-NAMES = st.text(
-    st.characters(
-        blacklist_categories=("Cs", "Zs", "Zl", "Zp"),
-        blacklist_characters="#\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85",
-    ),
-    min_size=1,
-    max_size=4,
+from fitchgraph.io import (
+    ParseError,
+    parse_edgelist,
+    parse_newick,
+    serialize_edgelist,
+    serialize_newick,
 )
+from fitchgraph.tree import LabeledTree, validate
+
+
+def names_without(stop):
+    """Names with no character of *stop* and none that str.isspace accepts:
+    the space separators (Zs, Zl, Zp) and the listed control characters."""
+    return st.text(
+        st.characters(
+            blacklist_categories=("Cs", "Zs", "Zl", "Zp"),
+            blacklist_characters=stop + "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85",
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+NAMES = names_without("#")
+NEWICK_NAMES = names_without("():,;")
 EDGELIST_TOKENS = ["a", "b", "c", "vertices:", "#", " ", "\t", "\r", "\n", "\x0b"]
+NEWICK_TOKENS = ["(", ")", ":", ",", ";", "0", "1", "a", "b", "r", ":0", ":1",
+                 " ", "\t", "\r", "\n", "\x0b", "\u2003"]
+# A leaf is (), a group the tuple of its (child, edge label) pairs.
+SHAPES = st.recursive(
+    st.just(()),
+    lambda kids: st.lists(st.tuples(kids, st.integers(0, 1)), min_size=1, max_size=4).map(tuple),
+    max_leaves=40,
+)
 
 
 @st.composite
@@ -28,6 +48,42 @@ def named_graphs(draw, name=NAMES):
     pairs = list(combinations(names, 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return SimpleGraph.build(names, edges)
+
+
+@st.composite
+def newick_trees(draw):
+    """A rooted tree with ids in preorder and sorted names on its leaves in
+    preorder, so the serializer keeps the order of every vertex's children
+    and parsing its output gives back the same ids."""
+    order, labels = [], {}
+    stack = [(draw(SHAPES), None, None)]
+    while stack:
+        shape, parent, label = stack.pop()
+        if parent is not None:
+            labels[parent, len(order)] = label
+        stack += [(child, len(order), lab) for child, lab in reversed(shape)]
+        order.append(shape)
+    # the root is a leaf when it has one child
+    leaves = [v for v, shape in enumerate(order) if len(shape) <= (v == 0)]
+    drawn = draw(st.lists(NEWICK_NAMES, unique=True, min_size=len(leaves), max_size=len(leaves)))
+    return LabeledTree(frozenset(range(len(order))), labels, dict(zip(leaves, sorted(drawn))), 0)
+
+
+class TestNewickProperties:
+    @settings(derandomize=True, max_examples=200)
+    @given(newick_trees())
+    def test_round_trip(self, t):
+        assert validate(t) is None
+        assert parse_newick(serialize_newick(t)) == t
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.sampled_from(NEWICK_TOKENS), max_size=40).map("".join))
+    def test_only_parse_errors(self, text):
+        try:
+            tree = parse_newick(text)
+        except ParseError:
+            return
+        assert validate(tree) is None
 
 
 class TestEdgeListProperties:
