@@ -26,6 +26,7 @@ from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
 
 _TOKEN = re.compile(r"[():,;]|[^\s():,;]+")  # \s is exactly what str.isspace accepts
+_LINE = re.compile(r"[^\r\n]+")  # a line's text, between LF, CR or CRLF ends
 _NAME_STOP = {"(", ")", ":", ",", ";", ""}  # tokens that are not names; '' ends the input
 
 
@@ -171,16 +172,12 @@ def serialize_newick(tree: LabeledTree) -> str:
 
 def looks_like_edgelist(text: str) -> bool:
     """Whether the first line of *text* holding more than blanks and a
-    comment starts with ``vertices:``; reads no further than that line."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        line = text[start:stop].split("#", 1)[0].strip()
+    comment starts with ``vertices:``; reads no further than that line.
+    Lines end at LF, CR or CRLF, as in :func:`parse_edgelist`."""
+    for match in _LINE.finditer(text):
+        line = match[0].split("#", 1)[0].strip()
         if line:
             return line.startswith("vertices:")
-        start = stop + 1
     return False
 
 

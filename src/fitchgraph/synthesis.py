@@ -1,23 +1,52 @@
 """Explaining trees for complete multipartite graphs.
 
-Every complete multipartite graph is explained by a canonical tree: a root
-whose i-th child covers the i-th independent set, with 1-labels exactly on
-the root's edges (all labels 0 in the one-part case, where the tree is a
-star).  Contracting one root edge to a non-leaf child yields a tree with
-the minimum possible vertex count; both constructions are provided, along
-with a checker for the least-resolved property (no edge contraction
-preserves the explained graph).
+Every complete multipartite graph is explained by a tree hung from its
+partition in one pass, with preorder ids: a root with one child per
+independent set and 1-labels exactly on the root's edges.  The canonical
+tree does this for every set; the minimal tree hangs the first, and thus
+largest, set's members from the root itself, which gives the minimum
+vertex count.  A checker for the least-resolved property (no edge
+contraction preserves the explained graph) completes the module.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Union
 
-# perfbench/tracing.py wraps undirected_fitch through this module's namespace.
+# perfbench/tracing.py patches undirected_fitch and contract_edge through
+# this module's namespace, and its install() reads vars(owner)[attr].
 from .fitch import explains, undirected_fitch, zero_blocks  # noqa: F401
 from .graphs import SimpleGraph
 from .recognition import ForbiddenWitness, Partition, recognize
-from .tree import LabeledTree, contract_edge
+from .tree import Edge, LabeledTree, contract_edge  # noqa: F401
+
+
+def _builder(p: Partition, merge_first: bool) -> LabeledTree:
+    """Hang *p*'s blocks from root 0, ids in preorder: a singleton on a
+    1-edge, a larger block's members on 0-edges under an inner child on a
+    1-edge.  *merge_first* hangs the first block's members on the root."""
+    if not p.blocks:
+        raise ValueError("empty partition")
+    if p.sizes == (1,):
+        return LabeledTree.single(next(iter(p.blocks[0])))
+    ids = count(1)
+    labels: dict[Edge, int] = {}
+    names: dict[int, str] = {}
+    for i, block in enumerate(p.blocks):
+        members = sorted(block)
+        if i == 0 and merge_first:
+            parent, label = 0, 0
+        elif len(members) == 1:
+            parent, label = 0, 1
+        else:
+            parent, label = next(ids), 0
+            labels[0, parent] = 1
+        for name in members:
+            v = next(ids)
+            labels[parent, v] = label
+            names[v] = name
+    return LabeledTree(frozenset(range(next(ids))), labels, names, 0)
 
 
 def canonical_tree(p: Partition) -> LabeledTree:
@@ -27,61 +56,25 @@ def canonical_tree(p: Partition) -> LabeledTree:
     the center (a single vertex when n = 1).  With k >= 2 blocks, the root
     gets one child per block: the block's lone vertex if it is a
     singleton, else an inner vertex whose children are the block's
-    vertices.  Root edges are labeled 1, all others 0.
+    vertices.  Root edges are labeled 1, all others 0.  Raises ValueError
+    on the empty partition.
     """
-    blocks = [sorted(b) for b in p.blocks]
-    k = len(blocks)
-    if k == 1:
-        members = blocks[0]
-        if len(members) == 1:
-            return LabeledTree.single(members[0])
-        root = 0
-        edges = [(root, i + 1, 0) for i in range(len(members))]
-        names = {i + 1: name for i, name in enumerate(members)}
-        return LabeledTree.build(edges, names, root=root)
-    root = 0
-    next_id = 1
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    for members in blocks:
-        child = next_id
-        next_id += 1
-        edges.append((root, child, 1))
-        if len(members) == 1:
-            names[child] = members[0]
-        else:
-            for name in members:
-                leaf = next_id
-                next_id += 1
-                edges.append((child, leaf, 0))
-                names[leaf] = name
-    return LabeledTree.build(edges, names, root=root)
+    return _builder(p, len(p.blocks) == 1)
 
 
 def minimal_tree(p: Partition) -> LabeledTree:
     """An explaining tree with the minimum number of vertices.
 
-    Stars on >= 3 leaves are already minimum.  Otherwise one of the root's
-    1-edges to a non-leaf child can be contracted without changing the
-    Fitch graph; the child of the largest block (first in canonical order)
-    is chosen, fixing one of the generally non-unique minimal trees.  Two
-    total vertices admit no inner vertex at all, so those partitions get a
-    bare labeled edge: 0 within a block, 1 across.
+    The canonical tree with the first, and thus largest, block's members
+    hung on the root itself: one of the generally non-unique minimal trees
+    (stars are already minimal).  Two total vertices admit no inner vertex
+    at all, so they get a bare labeled edge: 0 within a block, 1 across.
+    Raises ValueError on the empty partition.
     """
-    blocks = [sorted(b) for b in p.blocks]
-    total = sum(len(b) for b in blocks)
-    if total == 1:
-        return canonical_tree(p)
-    if total == 2:
-        label = 0 if len(blocks) == 1 else 1
-        a, b = sorted(n for block in blocks for n in block)
-        return LabeledTree.build([(0, 1, label)], {0: a, 1: b}, root=0)
-    if len(blocks) == 1 or all(len(b) == 1 for b in blocks):
-        return canonical_tree(p)
-    tree = canonical_tree(p)
-    # Root is vertex 0 and the first block's child is vertex 1, an inner
-    # vertex because canonical order puts a block of size >= 2 first.
-    return contract_edge(tree, (0, 1))
+    if sum(p.sizes) == 2:
+        a, b = sorted(p.vertex_set)
+        return LabeledTree(frozenset({0, 1}), {(0, 1): len(p.blocks) - 1}, {0: a, 1: b}, 0)
+    return _builder(p, bool(p.blocks) and len(p.blocks[0]) > 1)
 
 
 def is_least_resolved(tree: LabeledTree, g: SimpleGraph) -> bool:

@@ -212,28 +212,21 @@ def suppress_degree2(tree: LabeledTree) -> LabeledTree:
     doomed = {v for v in tree.vertices if tree.degree(v) == 2}
     if not doomed:
         return tree
-    # Join each survivor to its nearest surviving ancestor.  If the walk
-    # starts at a doomed vertex, the two chains that climb to it join up.
-    parent = tree.walk.parent
-    new_edges: dict[Edge, int] = {}
-    ends: list[tuple[int, int]] = []
-    for v in tree.walk.order[1:]:
-        if v in doomed:
-            continue
-        u = parent[v]
-        acc = tree.label(u, v)
-        while u in doomed and parent[u] is not None:
-            acc |= tree.label(u, parent[u])
-            u = parent[u]
-        if u in doomed:
-            ends.append((v, acc))
-        else:
-            new_edges[edge_key(u, v)] = acc
-    if ends:
-        (a, lab_a), (b, lab_b) = ends
-        new_edges[edge_key(a, b)] = lab_a | lab_b
+    # Walk from a survivor, so every other survivor climbs to a surviving
+    # ancestor, and join each to the nearest one.
     survivors = tree.vertices - doomed
     root = tree.root if tree.root in survivors else None
+    walk = replace(tree, root=min(survivors) if root is None else root).walk
+    new_edges: dict[Edge, int] = {}
+    for v in walk.order[1:]:
+        if v in doomed:
+            continue
+        u = walk.parent[v]
+        acc = tree.label(u, v)
+        while u in doomed:
+            acc |= tree.label(u, walk.parent[u])
+            u = walk.parent[u]
+        new_edges[edge_key(u, v)] = acc
     return LabeledTree(frozenset(survivors), new_edges, dict(tree.leaf_names), root)
 
 

@@ -104,6 +104,11 @@ class TestRecognize:
         assert code == 1
         assert out == "witness: a | b--c\n"
 
+    def test_cr_only_stdin(self, run):
+        # stdin does not translate a lone CR, so the format sniff must.
+        code, out, _ = run("recognize", "-", stdin="# c\rvertices: a b\ra b\r")
+        assert (code, out) == (0, "blocks: {a} {b}\n")
+
     def test_tree_input_rejected(self, run, fig1_file):
         code, out, err = run("recognize", fig1_file)
         assert (code, out) == (2, "")

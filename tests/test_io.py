@@ -339,6 +339,9 @@ class TestLooksLikeEdgelist:
             ("\r\n\n  \n", False),
             ("((a:0,b:0):1,c:1)r;", False),
             ("(a:0,b:0)r;\nvertices: a b\n", False),
+            ("# c\rvertices: a b\ra b\r", True),
+            ("\r\r \t\rvertices: a\r", True),
+            ("# c\r(a:0,b:0)r;\r", False),
         ],
     )
     def test_verdicts(self, text, verdict):

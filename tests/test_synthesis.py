@@ -12,9 +12,10 @@ from fitchgraph.enumeration import (
 )
 from fitchgraph.fitch import undirected_fitch
 from fitchgraph.graphs import SimpleGraph, complete_multipartite
+from fitchgraph.io import serialize_newick, to_dot
 from fitchgraph.recognition import ForbiddenWitness, Partition, recognize
 from fitchgraph.synthesis import canonical_tree, explain, is_least_resolved, minimal_tree
-from fitchgraph.tree import validate
+from fitchgraph.tree import contract_edge, validate
 
 from conftest import least_resolved_by_contraction, subdivide_edge
 
@@ -71,6 +72,10 @@ class TestCanonicalTree:
                 assert validate(t) is None
                 assert undirected_fitch(t) == block_graph(p)
 
+    def test_empty_partition_rejected(self):
+        with pytest.raises(ValueError, match="empty partition"):
+            canonical_tree(Partition.canonical([]))
+
 
 class TestMinimalTree:
     def test_221_has_seven_vertices(self):
@@ -118,6 +123,27 @@ class TestMinimalTree:
                     assert len(canonical.vertices) == expected
                     contractible = any(s >= 2 for s in sizes) or sum(sizes) == 2
                     assert len(minimal.vertices) == expected - (1 if contractible else 0)
+
+    def test_matches_contracted_canonical_tree(self):
+        # The route the builder replaced, kept here as a reference: contract
+        # the root's edge to the first block's inner child (vertex 1).
+        contracted = 0
+        for n in range(1, 7):
+            for blocks in set_partitions(ascii_lowercase[:n]):
+                p = Partition.canonical(blocks)
+                t = minimal_tree(p)
+                assert validate(t) is None
+                assert t.vertices == frozenset(range(len(t.vertices))) and t.root == 0
+                if len(p.blocks) >= 2 and len(p.blocks[0]) >= 2:
+                    reference = contract_edge(canonical_tree(p), (0, 1))
+                    assert serialize_newick(t) == serialize_newick(reference)
+                    assert to_dot(t) == to_dot(reference)
+                    contracted += 1
+        assert contracted == 267  # Bell numbers to n = 6, minus 6 stars and 5 all-singleton ones
+
+    def test_empty_partition_rejected(self):
+        with pytest.raises(ValueError, match="empty partition"):
+            minimal_tree(Partition.canonical([]))
 
     def test_minimum_for_small_partitions(self):
         for n in range(1, 6):

@@ -138,7 +138,16 @@ class TestSuppressDegree2:
 
     def test_root_suppression_unroots(self):
         t = LabeledTree.build([(0, 1, 0), (1, 2, 1)], {0: "a", 2: "b"}, root=1)
-        assert suppress_degree2(t).root is None
+        s = suppress_degree2(t)
+        assert s.root is None
+        assert s.edge_labels == {(0, 2): 1}
+
+    def test_smallest_vertex_suppressed_in_unrooted_tree(self):
+        # An unrooted tree's walk would start at vertex 0, which is doomed.
+        t = LabeledTree.build([(0, 1, 1), (0, 2, 0)], {1: "a", 2: "b"})
+        s = suppress_degree2(t)
+        assert (s.vertices, s.root) == (frozenset({1, 2}), None)
+        assert s.edge_labels == {(1, 2): 1}
 
     def test_idempotent_and_path_preserving(self, rng):
         names = [f"l{i}" for i in range(8)]
