@@ -10,14 +10,15 @@ walk, :attr:`fitchgraph.tree.LabeledTree.walk`, which names the
 0-component of each vertex (what is left around it once every 1-edge is
 deleted) by its highest vertex, top(v).  Two leaves are non-adjacent
 exactly when they share a top, so the undirected graph is the complete
-multipartite graph on the 0-components' leaf sets, with one neighbour
-set per block.  (x, y) is an arc exactly when x is not below top(y), so
-every leaf of one 0-component has the same out-neighbours: the leaves
-outside the components of its top and of the tops above it.  The
-directed graph holds one successor set per 0-component: its parent
-component's set less its own leaves.  Copying that parent set costs no
-more than the component's arcs plus its leaves, so the whole digraph
-costs O(tree + arcs).
+multipartite graph on the 0-components' leaf sets, held as those blocks:
+O(tree), with no neighbour set built until something reads one, and
+rendered as an edge list straight from the blocks.  (x, y) is an arc
+exactly when x is not below top(y), so every leaf of one 0-component has
+the same out-neighbours: the leaves outside the components of its top
+and of the tops above it.  The directed graph holds one successor set
+per 0-component: its parent component's set less its own leaves.
+Copying that parent set costs no more than the component's arcs plus its
+leaves, so the whole digraph costs O(tree + arcs).
 """
 
 from __future__ import annotations

@@ -8,14 +8,17 @@ exhaustive enumeration machinery relies on that.
 A graph holds its pairs as a set of tuples, as a map from each vertex to
 a frozenset -- its neighbours (``SimpleGraph.adjacency``) or the heads of
 its out-arcs (``DirectedGraph.successors``) -- or both, and derives
-either form from the other on first read.  Built, parsed and computed
-graphs carry the sets only.  Every question this package asks of a graph
-reads the sets, and equality and hashing compare the sets and never build
-pair tuples, so the tuples are made only when something reads ``.edges``
-or ``.arcs``.  ``_from_sets`` freezes its builder's lists or sets in
-place, so no second copy is ever alive.  Computed Fitch graphs share one
-frozenset per neighbourhood class, so a hash reads each class's cached
-set hash.
+either form from the other on first read.  A graph made by
+:func:`complete_multipartite`, such as every undirected Fitch graph,
+holds its blocks instead, in O(V + blocks): it builds its sets (one
+frozenset per block, shared by its members) only when ``adjacency``,
+``edges``, ``==`` or the hash is read, and :mod:`fitchgraph.io` renders
+it from the blocks.  Built, parsed and directed Fitch graphs carry the
+sets only.  Every question this package asks of a graph reads the sets,
+and equality and hashing compare the sets and never build pair tuples,
+so the tuples are made only when something reads ``.edges`` or
+``.arcs``.  ``_from_sets`` freezes its builder's lists or sets in place,
+so no second copy is ever alive.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
 
 
 class _Graph:
-    """Vertices plus a pair set (attribute ``_pairs``) or a name -> frozenset
-    map (attribute ``_sets``), the other derived on first read.
+    """Vertices plus a pair set (attribute ``_pairs``), a name -> frozenset
+    map (attribute ``_sets``) or, for a :class:`SimpleGraph` made by
+    :func:`complete_multipartite`, its blocks (``_blocks``, else None); the
+    sets and the pairs are derived on first read.
 
     Immutable: assignment and deletion raise, though a ``cached_property``
     still fills its slot in the instance ``__dict__`` on first read.  Two
@@ -47,6 +52,7 @@ class _Graph:
     vertices: frozenset[str]
     _pairs: str
     _sets: str
+    _blocks: tuple[frozenset[str], ...] | None = None
 
     def __init__(self, vertices: frozenset[str], pairs: frozenset[tuple[str, str]]):
         self.__dict__.update({"vertices": vertices, self._pairs: pairs})
@@ -108,6 +114,12 @@ class SimpleGraph(_Graph):
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
+        if self._blocks is not None:
+            # Every member of a block shares one neighbour set: O(V) per block.
+            shared: dict[str, frozenset[str]] = {}
+            for b in self._blocks:
+                shared.update(dict.fromkeys(b, self.vertices - b))
+            return shared
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.edges:
             adj[x].append(y)
@@ -191,10 +203,9 @@ def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
 
     Every pair of vertices from different blocks is joined by an edge;
     pairs within a block are not.  One block gives the edge-less graph.
+    The blocks are checked now and kept; the sets wait for a first reader.
     """
     block_list, verts = disjoint_blocks(blocks)
-    # Every member of a block shares one neighbour set: O(V) per block.
-    adj: dict[str, frozenset[str]] = {}
-    for b in block_list:
-        adj.update(dict.fromkeys(b, verts - b))
-    return SimpleGraph._from_sets(verts, adj)
+    g = object.__new__(SimpleGraph)
+    g.__dict__.update(vertices=verts, _blocks=tuple(block_list))
+    return g

@@ -227,13 +227,29 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph._from_sets(frozenset(adj), adj)
 
 
-def _sorted_sets(names: list[str], sets: dict[str, frozenset[str]]) -> list[tuple[str, list[str]]]:
-    """Each of the sorted *names* with its set from *sets* as a sorted list.
+def _sorted_sets(names: list[str], g: SimpleGraph | DirectedGraph) -> list[tuple[str, list[str]]]:
+    """Each of the sorted *names* with its neighbours in *g* (successors, in
+    a digraph) as a sorted list; vertices with equal lists share one.
 
-    Vertices with equal sets share one list, built once: a set holding at
-    least half the names is read off *names* in one pass, O(n) <= O(2|set|);
-    a smaller one is sorted.
+    A graph held as blocks is cut out of *names*: each block's list is
+    *names* less the block's positions, joined from slices once per block,
+    so no set is built and the cost is O(V log V + output).  A graph held
+    as sets gets one list per distinct set: a set holding at least half
+    the names is read off *names* in one pass, O(n) <= O(2|set|); a
+    smaller one is sorted.
     """
+    if g._blocks is not None:
+        at = {x: i for i, x in enumerate(names)}
+        cut: dict[str, list[str]] = {}
+        for b in g._blocks:
+            ys, start = [], 0
+            for i in sorted(map(at.__getitem__, b)):
+                ys += names[start:i]
+                start = i + 1
+            ys += names[start:]
+            cut.update(dict.fromkeys(b, ys))
+        return [(x, cut[x]) for x in names]
+    sets = getattr(g, g._sets)
     n = len(names)
     lists: dict[frozenset[str], list[str]] = {}
     out = []
@@ -257,19 +273,20 @@ def _pair_lines(names: list[str], after: list[tuple[str, list[str]]]) -> str:
         if ys:
             head = x + " "
             lines.append(head + ("\n" + head).join(ys))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line end, without copying the text again
+    return "\n".join(lines)
 
 
 def serialize_edgelist(g: SimpleGraph) -> str:
     names = sorted(g.vertices)
-    after = [(x, ys[bisect_right(ys, x):]) for x, ys in _sorted_sets(names, g.adjacency)]
+    after = [(x, ys[bisect_right(ys, x):]) for x, ys in _sorted_sets(names, g)]
     return _pair_lines(names, after)
 
 
 def serialize_arclist(d: DirectedGraph) -> str:
     """Arc-per-line rendering of a digraph (same layout as edge lists)."""
     names = sorted(d.vertices)
-    return _pair_lines(names, _sorted_sets(names, d.successors))
+    return _pair_lines(names, _sorted_sets(names, d))
 
 
 # --------------------------------------------------------------------------
@@ -289,12 +306,11 @@ def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
         quoted = {v: _dot_quote(v) for v in names}
         lines = ["digraph {" if directed else "graph {"]
         lines += [f"  {quoted[v]};" for v in names]
-        sets = obj.successors if directed else obj.adjacency
-        for x, ys in _sorted_sets(names, sets):
+        for x, ys in _sorted_sets(names, obj):
             head = f"  {quoted[x]} {'->' if directed else '--'} "
             lines += [f"{head}{quoted[y]};" for y in (ys if directed else ys[bisect_right(ys, x):])]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines.append("}\n")
+        return "\n".join(lines)
     if isinstance(obj, LabeledTree):
         ids = {v: f"n{i}" for i, v in enumerate(sorted(obj.vertices))}
         lines = ["graph {"]

@@ -42,6 +42,25 @@ class Walk:
     top: dict[int, int]
 
 
+def _walk(adjacency: Mapping[int, Mapping[int, int]], start: int) -> Walk:
+    """The depth-first walk from *start* over *adjacency* (vertex ->
+    {neighbour: edge label}).  Marking vertices as they are pushed ends it
+    on any input; it reaches them all iff the tree is connected."""
+    order: list[int] = []
+    parent: dict[int, int | None] = {start: None}
+    top = {start: start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, lab in adjacency[v].items():
+            if w not in parent:
+                parent[w] = v
+                top[w] = w if lab else top[v]
+                stack.append(w)
+    return Walk(order, parent, top)
+
+
 @dataclass(frozen=True)
 class LabeledTree:
     """A tree with {0,1} edge labels, named leaves, and an optional root.
@@ -99,24 +118,8 @@ class LabeledTree:
     @cached_property
     def walk(self) -> Walk:
         """The one depth-first walk, from the root (else the smallest vertex),
-        that every tree query reads.  Marking vertices as they are pushed
-        ends it on any input; it reaches them all iff the tree is connected.
-        """
-        adjacency = self.adjacency
-        start = min(self.vertices) if self.root is None else self.root
-        order: list[int] = []
-        parent: dict[int, int | None] = {start: None}
-        top = {start: start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w, lab in adjacency[v].items():
-                if w not in parent:
-                    parent[w] = v
-                    top[w] = w if lab else top[v]
-                    stack.append(w)
-        return Walk(order, parent, top)
+        that every tree query reads (see :func:`_walk`)."""
+        return _walk(self.adjacency, min(self.vertices) if self.root is None else self.root)
 
     @cached_property
     def name_to_leaf(self) -> dict[str, int]:
@@ -216,7 +219,7 @@ def suppress_degree2(tree: LabeledTree) -> LabeledTree:
     # ancestor, and join each to the nearest one.
     survivors = tree.vertices - doomed
     root = tree.root if tree.root in survivors else None
-    walk = replace(tree, root=min(survivors) if root is None else root).walk
+    walk = _walk(tree.adjacency, min(survivors) if root is None else root)
     new_edges: dict[Edge, int] = {}
     for v in walk.order[1:]:
         if v in doomed:

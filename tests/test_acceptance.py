@@ -7,7 +7,7 @@ the large-graph recognition bound is soft (informational) and generous.
 
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from string import ascii_lowercase
 
 import numpy as np
@@ -238,7 +238,7 @@ def test_criterion_08_recognizer_agreement():
         p = float(rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]))
         names, pairs = pairs_for(n)
         mask = rng.random(len(pairs)) < p
-        g = SimpleGraph(frozenset(names), frozenset(pr for pr, m in zip(pairs, mask) if m))
+        g = SimpleGraph(frozenset(names), frozenset(compress(pairs, mask)))
         check(g)
 
     for trial in range(3000):  # planted complete multipartite: must accept

@@ -113,6 +113,18 @@ def test_readers_leave_edge_tuples_unbuilt():
         assert "edges" not in g.__dict__
 
 
+def test_computed_graphs_render_without_neighbour_sets():
+    tree = parse_newick("((a:0,b:0,c:0):1,(d:0,e:0):1,f:1)r;")
+    blocks = [["a", "b", "c"], ["d", "e"], ["f"]]
+    cross = [(x, y) for b1, b2 in combinations(blocks, 2) for x in b1 for y in b2]
+    built = SimpleGraph.build("abcdef", cross)
+    g = undirected_fitch(tree)
+    assert serialize_edgelist(g) == serialize_edgelist(built)
+    assert to_dot(g) == to_dot(built)
+    assert "adjacency" not in vars(g) and "edges" not in vars(g)
+    assert g == built and "adjacency" in vars(g)
+
+
 def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):
     from conftest import random_graph
 
@@ -237,5 +249,6 @@ def test_induced_on_non_vertices_rejected():
 )
 @pytest.mark.parametrize("entry", [complete_multipartite, Partition.canonical])
 def test_block_check_reports_first_bad_block(entry, blocks, message):
+    # complete_multipartite defers its neighbour sets, not this check.
     with pytest.raises(ValueError, match=f"^{message}$"):
         entry(blocks)

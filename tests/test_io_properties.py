@@ -5,13 +5,14 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fitchgraph.graphs import SimpleGraph
+from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.io import (
     ParseError,
     parse_edgelist,
     parse_newick,
     serialize_edgelist,
     serialize_newick,
+    to_dot,
 )
 from fitchgraph.tree import LabeledTree, validate
 
@@ -48,6 +49,17 @@ def named_graphs(draw, name=NAMES):
     pairs = list(combinations(names, 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return SimpleGraph.build(names, edges)
+
+
+@st.composite
+def partitions(draw):
+    """Blocks of up to 12 distinct names: each name draws its block's number."""
+    names = draw(st.lists(NAMES, unique=True, max_size=12))
+    numbers = draw(st.lists(st.integers(0, 11), min_size=len(names), max_size=len(names)))
+    blocks: dict[int, list[str]] = {}
+    for name, k in zip(names, numbers):
+        blocks.setdefault(k, []).append(name)
+    return list(blocks.values())
 
 
 @st.composite
@@ -123,3 +135,18 @@ class TestEdgeListProperties:
         for v, nbrs in adj.items():
             assert v not in nbrs
             assert all(v in adj[u] for u in nbrs)
+
+
+class TestBlockGraphProperties:
+    @settings(derandomize=True, max_examples=200)
+    @given(partitions())
+    def test_blocks_render_as_their_cross_pairs(self, blocks):
+        # complete_multipartite keeps its blocks and the serializers cut
+        # them out of the sorted names; build holds the same graph as sets.
+        held = complete_multipartite(blocks)
+        cross = [(x, y) for b1, b2 in combinations(blocks, 2) for x in b1 for y in b2]
+        built = SimpleGraph.build(held.vertices, cross)
+        assert serialize_edgelist(held) == serialize_edgelist(built)
+        assert to_dot(held) == to_dot(built)
+        assert held == built and built == held
+        assert hash(held) == hash(built)
