@@ -15,10 +15,14 @@ O(tree), with no neighbour set built until something reads one, and
 rendered as an edge list straight from the blocks.  (x, y) is an arc
 exactly when x is not below top(y), so every leaf of one 0-component has
 the same out-neighbours: the leaves outside the components of its top
-and of the tops above it.  The directed graph holds one successor set
-per 0-component: its parent component's set less its own leaves.
-Copying that parent set costs no more than the component's arcs plus its
-leaves, so the whole digraph costs O(tree + arcs).
+and of the tops above it, that is its parent component's out-neighbours
+less its own leaves.  The directed graph holds that chain of
+0-components, each with its parent's top and its leaves: O(tree), with
+no successor set built until something reads one (then one per
+0-component, shared by its leaves), and rendered as an arc list by
+cutting each component's list out of its parent's.  Parsed and
+synthesized trees carry their walk from construction, so neither graph
+builds the tree's adjacency for them.
 """
 
 from __future__ import annotations
@@ -62,22 +66,23 @@ def explains(tree: LabeledTree, g: SimpleGraph) -> bool:
 
 
 def directed_fitch(tree: LabeledTree) -> DirectedGraph:
-    """Digraph with arc (x, y) iff a 1-edge lies on the lca(x, y) .. y path."""
+    """Digraph with arc (x, y) iff a 1-edge lies on the lca(x, y) .. y path.
+
+    Held as the chain of 0-components in preorder, each with the top of
+    its parent component (None at the root) and its leaves: O(tree), with
+    no successor set built until something reads one.
+    """
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")
-    names, walk = tree.leaf_names, tree.walk
+    walk = tree.walk
     top, parent = walk.top, walk.parent
     blocks = zero_blocks(tree)
-    # out[t]: all leaves minus those in the components of t and of the tops
-    # above it.  Parents come first in preorder; a leafless component
-    # shares its parent component's set.
-    root, leaves = tree.root, frozenset(names.values())
-    out = {root: leaves.difference(blocks.get(root, ()))}
+    chain = []
     for t in walk.order:
-        if top[t] == t and t != root:
-            above = out[top[parent[t]]]
-            out[t] = above.difference(blocks[t]) if t in blocks else above
-    return DirectedGraph._from_sets(leaves, {name: out[top[v]] for v, name in names.items()})
+        if top[t] == t:
+            up = parent[t]
+            chain.append((t, None if up is None else top[up], blocks.get(t, ())))
+    return DirectedGraph._from_chain(tree.leaf_name_set, tuple(chain))
 
 
 def underlying_undirected(d: DirectedGraph) -> SimpleGraph:

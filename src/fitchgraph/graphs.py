@@ -8,15 +8,17 @@ exhaustive enumeration machinery relies on that.
 A graph holds its pairs as a set of tuples, as a map from each vertex to
 a frozenset -- its neighbours (``SimpleGraph.adjacency``) or the heads of
 its out-arcs (``DirectedGraph.successors``) -- or both, and derives
-either form from the other on first read.  A graph made by
-:func:`complete_multipartite`, such as every undirected Fitch graph,
-holds its blocks instead, in O(V + blocks): it builds its sets (one
-frozenset per block, shared by its members) only when ``adjacency``,
-``edges``, ``==`` or the hash is read, and :mod:`fitchgraph.io` renders
-it from the blocks.  Built, parsed and directed Fitch graphs carry the
-sets only.  Every question this package asks of a graph reads the sets,
-and equality and hashing compare the sets and never build pair tuples,
-so the tuples are made only when something reads ``.edges`` or
+either form from the other on first read.  A Fitch graph holds the chain
+of its tree's 0-components instead, in O(V + components) (see
+``_Graph._from_chain``): a directed one from
+:func:`fitchgraph.fitch.directed_fitch`, and an undirected one, made by
+:func:`complete_multipartite`, as blocks that all hang from the root.
+It builds its sets (one frozenset per entry, shared by its members) only
+when the sets, the pairs, ``==`` or the hash is read, and
+:mod:`fitchgraph.io` renders it from the chain.  Built and parsed graphs
+carry the sets only.  Every question this package asks of a graph reads
+the sets, and equality and hashing compare the sets and never build pair
+tuples, so the tuples are made only when something reads ``.edges`` or
 ``.arcs``.  ``_from_sets`` freezes its builder's lists or sets in place,
 so no second copy is ever alive.
 """
@@ -24,7 +26,11 @@ so no second copy is ever alive.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
+
+# A Fitch graph's 0-components, parents first: one (key, parent key or
+# None, member names) entry each (see _Graph._from_chain).
+Chain = tuple[tuple[int, "int | None", Collection[str]], ...]
 
 
 def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
@@ -37,9 +43,9 @@ def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
 
 class _Graph:
     """Vertices plus a pair set (attribute ``_pairs``), a name -> frozenset
-    map (attribute ``_sets``) or, for a :class:`SimpleGraph` made by
-    :func:`complete_multipartite`, its blocks (``_blocks``, else None); the
-    sets and the pairs are derived on first read.
+    map (attribute ``_sets``) or the chain of 0-components of a Fitch graph
+    (``_chain``, else None); the sets and the pairs are derived on first
+    read.
 
     Immutable: assignment and deletion raise, though a ``cached_property``
     still fills its slot in the instance ``__dict__`` on first read.  Two
@@ -52,7 +58,7 @@ class _Graph:
     vertices: frozenset[str]
     _pairs: str
     _sets: str
-    _blocks: tuple[frozenset[str], ...] | None = None
+    _chain: Chain | None = None
 
     def __init__(self, vertices: frozenset[str], pairs: frozenset[tuple[str, str]]):
         self.__dict__.update({"vertices": vertices, self._pairs: pairs})
@@ -67,6 +73,29 @@ class _Graph:
         g = object.__new__(cls)
         g.__dict__.update({"vertices": vertices, cls._sets: _freeze(sets)})
         return g
+
+    @classmethod
+    def _from_chain(cls, vertices: frozenset[str], chain: Chain):
+        """The graph in which the members of each entry (key, parent key or
+        None, members) of *chain* reach every vertex except their own
+        entry's members and those of the entries above it.  Parents come
+        before their children; nothing checks that, nor that the members
+        partition *vertices*.  A :class:`SimpleGraph` must hang every entry
+        from the root, or its sets are not symmetric."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, _chain=chain)
+        return g
+
+    def _chain_sets(self) -> dict[str, frozenset[str]]:
+        """The sets of a chain-held graph: each entry's set is its parent's
+        less its members, shared by them; an entry without members shares
+        its parent's set."""
+        above: dict[int | None, frozenset[str]] = {None: self.vertices}
+        shared: dict[str, frozenset[str]] = {}
+        for key, up, members in self._chain:
+            ys = above[key] = above[up].difference(members) if members else above[up]
+            shared.update(dict.fromkeys(members, ys))
+        return shared
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,12 +143,8 @@ class SimpleGraph(_Graph):
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
-        if self._blocks is not None:
-            # Every member of a block shares one neighbour set: O(V) per block.
-            shared: dict[str, frozenset[str]] = {}
-            for b in self._blocks:
-                shared.update(dict.fromkeys(b, self.vertices - b))
-            return shared
+        if self._chain is not None:
+            return self._chain_sets()
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.edges:
             adj[x].append(y)
@@ -171,6 +196,8 @@ class DirectedGraph(_Graph):
 
     @cached_property
     def successors(self) -> dict[str, frozenset[str]]:
+        if self._chain is not None:
+            return self._chain_sets()
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.arcs:
             succ[x].append(y)
@@ -203,9 +230,8 @@ def complete_multipartite(blocks: Iterable[Iterable[str]]) -> SimpleGraph:
 
     Every pair of vertices from different blocks is joined by an edge;
     pairs within a block are not.  One block gives the edge-less graph.
-    The blocks are checked now and kept; the sets wait for a first reader.
+    The blocks are checked now and kept as a chain whose entries all hang
+    from the root; the sets wait for a first reader.
     """
     block_list, verts = disjoint_blocks(blocks)
-    g = object.__new__(SimpleGraph)
-    g.__dict__.update(vertices=verts, _blocks=tuple(block_list))
-    return g
+    return SimpleGraph._from_chain(verts, tuple((i, None, b) for i, b in enumerate(block_list)))

@@ -18,7 +18,7 @@ limit (about 1,000 levels) raises ``RecursionError``, a known defect.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, islice
 from typing import Iterator
 
@@ -118,10 +118,9 @@ def parse_newick(text: str) -> LabeledTree:
             raise ParseError(f"duplicate leaf name {root_name!r}", pos=len(text))
         leaves[root_name] = root
     # Valid by construction, so validate() is not called: ids run 0..n-1
-    # from the root, every edge is (parent, child) = (min, max) with a 0/1
-    # label, and every leaf carries a unique non-empty name.
-    names = {v: name for name, v in leaves.items()}
-    return LabeledTree(frozenset(range(next(ids))), labels, names, root)
+    # in preorder from the root, every edge is (parent, child) = (min, max)
+    # with a 0/1 label, and every leaf carries a unique non-empty name.
+    return LabeledTree._preorder(labels, {v: name for name, v in leaves.items()})
 
 
 def serialize_newick(tree: LabeledTree) -> str:
@@ -231,23 +230,28 @@ def _sorted_sets(names: list[str], g: SimpleGraph | DirectedGraph) -> list[tuple
     """Each of the sorted *names* with its neighbours in *g* (successors, in
     a digraph) as a sorted list; vertices with equal lists share one.
 
-    A graph held as blocks is cut out of *names*: each block's list is
-    *names* less the block's positions, joined from slices once per block,
-    so no set is built and the cost is O(V log V + output).  A graph held
-    as sets gets one list per distinct set: a set holding at least half
-    the names is read off *names* in one pass, O(n) <= O(2|set|); a
-    smaller one is sorted.
+    A graph held as a chain of 0-components (a block-held graph is one
+    whose blocks all hang from the root) is cut out of *names* with no
+    set built, in O(V log V + output): a component's list is its parent
+    component's list (*names* at the root) less the component's leaves,
+    each located by bisection; a leafless component shares its parent's
+    list.  A graph held as sets gets one list per distinct set: a set
+    holding at least half the names is read off *names* in one pass,
+    O(n) <= O(2|set|); a smaller one is sorted.
     """
-    if g._blocks is not None:
-        at = {x: i for i, x in enumerate(names)}
+    if g._chain is not None:
+        lists: dict[int | None, list[str]] = {None: names}
         cut: dict[str, list[str]] = {}
-        for b in g._blocks:
-            ys, start = [], 0
-            for i in sorted(map(at.__getitem__, b)):
-                ys += names[start:i]
-                start = i + 1
-            ys += names[start:]
-            cut.update(dict.fromkeys(b, ys))
+        for key, up, members in g._chain:
+            ys = above = lists[up]
+            if members:
+                ys, start = [], 0
+                for i in sorted([bisect_left(above, x) for x in members]):
+                    ys += above[start:i]
+                    start = i + 1
+                ys += above[start:]
+                cut.update(dict.fromkeys(members, ys))
+            lists[key] = ys
         return [(x, cut[x]) for x in names]
     sets = getattr(g, g._sets)
     n = len(names)

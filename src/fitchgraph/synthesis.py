@@ -1,12 +1,13 @@
 """Explaining trees for complete multipartite graphs.
 
 Every complete multipartite graph is explained by a tree hung from its
-partition in one pass, with preorder ids: a root with one child per
-independent set and 1-labels exactly on the root's edges.  The canonical
-tree does this for every set; the minimal tree hangs the first, and thus
-largest, set's members from the root itself, which gives the minimum
-vertex count.  A checker for the least-resolved property (no edge
-contraction preserves the explained graph) completes the module.
+partition in one pass, with preorder ids, so the tree carries its walk
+from the start: a root with one child per independent set and 1-labels
+exactly on the root's edges.  The canonical tree does this for every
+set; the minimal tree hangs the first, and thus largest, set's members
+from the root itself, which gives the minimum vertex count.  A checker
+for the least-resolved property (no edge contraction preserves the
+explained graph) completes the module.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _builder(p: Partition, merge_first: bool) -> LabeledTree:
             v = next(ids)
             labels[parent, v] = label
             names[v] = name
-    return LabeledTree(frozenset(range(next(ids))), labels, names, 0)
+    return LabeledTree._preorder(labels, names)
 
 
 def canonical_tree(p: Partition) -> LabeledTree:
@@ -73,7 +74,7 @@ def minimal_tree(p: Partition) -> LabeledTree:
     """
     if sum(p.sizes) == 2:
         a, b = sorted(p.vertex_set)
-        return LabeledTree(frozenset({0, 1}), {(0, 1): len(p.blocks) - 1}, {0: a, 1: b}, 0)
+        return LabeledTree._preorder({(0, 1): len(p.blocks) - 1}, {0: a, 1: b})
     return _builder(p, bool(p.blocks) and len(p.blocks[0]) > 1)
 
 

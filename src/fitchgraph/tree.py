@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -35,11 +35,17 @@ class Walk:
     parent     : vertex -> its parent; the start vertex maps to None
     top        : vertex -> the highest vertex of its 0-component, the piece
                  of the tree around it left after deleting every 1-edge
+
+    A tree built with preorder ids (:meth:`LabeledTree._preorder`) has
+    ``order = range(n)``, and ``parent`` and ``top`` are lists indexed by
+    id; any other tree's walk (:func:`_walk`) holds dicts.  So a reader
+    may only index ``parent`` and ``top`` by a vertex id, never iterate
+    them, test membership or call dict methods on them.
     """
 
-    order: list[int]
-    parent: dict[int, int | None]
-    top: dict[int, int]
+    order: Sequence[int]
+    parent: Mapping[int, int | None] | Sequence[int | None]
+    top: Mapping[int, int] | Sequence[int]
 
 
 def _walk(adjacency: Mapping[int, Mapping[int, int]], start: int) -> Walk:
@@ -100,9 +106,29 @@ class LabeledTree:
         return LabeledTree(frozenset(verts), labels, dict(leaf_names), root)
 
     @staticmethod
+    def _preorder(edge_labels: dict[Edge, int], leaf_names: Mapping[int, str]) -> "LabeledTree":
+        """The tree rooted at 0 whose ids 0..n-1 run in preorder, with every
+        edge keyed (parent, child); trusted, not validated.  Its walk is
+        read off the keys, so neither ``adjacency`` nor :func:`_walk` runs:
+        ``top[v]`` is v below a 1-edge, else ``top[parent[v]]``."""
+        n = len(edge_labels) + 1
+        parent: list[int | None] = [None] * n
+        up = [1] * n  # the label of the edge above each vertex
+        for (u, v), lab in edge_labels.items():
+            parent[v] = u
+            up[v] = lab
+        top = list(range(n))
+        for v in range(1, n):
+            if not up[v]:
+                top[v] = top[parent[v]]
+        tree = LabeledTree(frozenset(range(n)), edge_labels, leaf_names, 0)
+        tree.__dict__["walk"] = Walk(range(n), parent, top)
+        return tree
+
+    @staticmethod
     def single(name: str) -> "LabeledTree":
         """The one-vertex tree (its only vertex is a leaf named *name*)."""
-        return LabeledTree(frozenset({0}), {}, {0: name}, root=0)
+        return LabeledTree._preorder({}, {0: name})
 
     # -- derived structure -------------------------------------------------
 

@@ -9,7 +9,13 @@ import pytest
 from fitchgraph.enumeration import all_graphs
 from fitchgraph.fitch import directed_fitch, explains, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
-from fitchgraph.io import parse_edgelist, parse_newick, serialize_edgelist, to_dot
+from fitchgraph.io import (
+    parse_edgelist,
+    parse_newick,
+    serialize_arclist,
+    serialize_edgelist,
+    to_dot,
+)
 from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
 
@@ -123,6 +129,30 @@ def test_computed_graphs_render_without_neighbour_sets():
     assert to_dot(g) == to_dot(built)
     assert "adjacency" not in vars(g) and "edges" not in vars(g)
     assert g == built and "adjacency" in vars(g)
+
+
+def test_computed_digraphs_render_without_successor_sets():
+    # The root's component and (a,b)'s hold no leaf.
+    tree = parse_newick("((a:1,b:1):1,(c:0,(d:1,e:0):0):1)r;")
+    arcs = [(x, y) for x in "abcde" for y in "abcde" if x != y]
+    arcs = [a for a in arcs if a not in {("c", "e"), ("d", "c"), ("d", "e"), ("e", "c")}]
+    built = DirectedGraph.build("abcde", arcs)
+    d = directed_fitch(tree)
+    assert serialize_arclist(d) == serialize_arclist(built)
+    assert to_dot(d) == to_dot(built)
+    assert "successors" not in vars(d) and "arcs" not in vars(d)
+    assert d == built and "successors" in vars(d)
+
+
+def test_parsed_trees_answer_without_adjacency():
+    # A parsed tree carries its walk, so computing and checking its Fitch
+    # graphs never builds its adjacency.
+    tree = parse_newick("(a:0,b:0,c:0,(d:0,e:0):1,f:1)r;")
+    g = undirected_fitch(tree)
+    assert "adjacency" not in vars(tree)
+    serialize_arclist(directed_fitch(tree))
+    assert explains(tree, g) and is_least_resolved(tree, g)
+    assert "adjacency" not in vars(tree)
 
 
 def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):

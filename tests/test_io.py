@@ -22,9 +22,9 @@ from fitchgraph.io import (
 )
 from fitchgraph.recognition import Partition
 from fitchgraph.synthesis import canonical_tree, minimal_tree
-from fitchgraph.tree import path_label_or, reroot, validate
+from fitchgraph.tree import _walk, path_label_or, reroot, validate
 
-from conftest import deep_caterpillar, random_graph
+from conftest import caterpillar, deep_caterpillar, random_graph, random_tree
 
 
 class TestParseNewick:
@@ -147,6 +147,39 @@ class TestParseNewick:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def check_walk_matches_a_fresh_walk(t):
+    """The walk a tree was built with names, vertex for vertex, the parent
+    and top that a fresh depth-first walk over its adjacency finds."""
+    walk, fresh = t.walk, _walk(t.adjacency, t.root)
+    assert list(walk.order) == list(range(len(t.vertices)))
+    for v in t.vertices:
+        assert walk.parent[v] == fresh.parent[v]
+        assert walk.top[v] == fresh.top[v]
+
+
+class TestParsedWalk:
+    @pytest.mark.parametrize("text", [
+        "a;", "(a:1)b;", "(a:0)b;", "(a:0,b:1)r;",
+        "((a:1,b:1):1,(c:0,(d:1,e:0):0):1)r;",
+        "(((a:0,b:1):0,c:1):1,(d:0,e:0):0)r;",
+    ])
+    def test_hand_made(self, text):
+        t = parse_newick(text)
+        assert "walk" in vars(t) and "adjacency" not in vars(t)
+        check_walk_matches_a_fresh_walk(t)
+
+    def test_random_trees(self, rng):
+        for n in (2, 3, 7, 30):
+            for p_one in (0.0, 0.3, 1.0):
+                names = [f"l{i}" for i in range(n)]
+                t = random_tree(rng, names, p_one)
+                t = reroot(t, max(v for v in t.vertices if not t.is_leaf(v)) if n > 2 else 0)
+                check_walk_matches_a_fresh_walk(parse_newick(serialize_newick(t)))
+                if n > 2:
+                    cat = caterpillar(rng, names, p_one)
+                    check_walk_matches_a_fresh_walk(parse_newick(serialize_newick(cat)))
 
 
 class TestSerializeNewick:

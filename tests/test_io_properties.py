@@ -1,20 +1,25 @@
 """Hypothesis properties of edge-list and Newick parsing and serialization."""
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fitchgraph.graphs import SimpleGraph, complete_multipartite
+from fitchgraph.fitch import directed_fitch, underlying_undirected, undirected_fitch
+from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
     ParseError,
     parse_edgelist,
     parse_newick,
+    serialize_arclist,
     serialize_edgelist,
     serialize_newick,
     to_dot,
 )
 from fitchgraph.tree import LabeledTree, validate
+
+from conftest import caterpillar, directed_fitch_bruteforce, random_tree
 
 
 def names_without(stop):
@@ -79,6 +84,25 @@ def newick_trees(draw):
     leaves = [v for v, shape in enumerate(order) if len(shape) <= (v == 0)]
     drawn = draw(st.lists(NEWICK_NAMES, unique=True, min_size=len(leaves), max_size=len(leaves)))
     return LabeledTree(frozenset(range(len(order))), labels, dict(zip(leaves, sorted(drawn))), 0)
+
+
+@st.composite
+def rooted_trees(draw):
+    """A tree from conftest's generators with shuffled ids, rooted at any
+    vertex, a leaf included, or parsed back from its Newick text.  A high
+    share of 1-edges leaves the root's and inner 0-components leafless."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = [f"l{i}" for i in range(draw(st.integers(2, 12)))]
+    p_one = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    if len(names) >= 3 and draw(st.booleans()):
+        t = caterpillar(rng, names, p_one)
+    else:
+        t = random_tree(rng, names, p_one)
+    new = dict(zip(sorted(t.vertices), rng.sample(range(3 * len(t.vertices)), len(t.vertices))))
+    triples = [(new[u], new[v], lab) for (u, v), lab in t.edge_labels.items()]
+    root = new[draw(st.sampled_from(sorted(t.vertices)))]
+    t = LabeledTree.build(triples, {new[v]: x for v, x in t.leaf_names.items()}, root)
+    return parse_newick(serialize_newick(t)) if draw(st.booleans()) else t
 
 
 class TestNewickProperties:
@@ -150,3 +174,24 @@ class TestBlockGraphProperties:
         assert to_dot(held) == to_dot(built)
         assert held == built and built == held
         assert hash(held) == hash(built)
+
+
+class TestChainGraphProperties:
+    @settings(derandomize=True, max_examples=300)
+    @given(rooted_trees())
+    def test_chain_renders_as_its_arcs(self, t):
+        # directed_fitch keeps the chain of 0-components and the serializers
+        # cut it out of the sorted names; build holds the oracle's arcs as sets.
+        d = directed_fitch(t)
+        arcs = directed_fitch_bruteforce(t)
+        built = DirectedGraph.build(t.leaf_names.values(), arcs)
+        assert serialize_arclist(d) == serialize_arclist(built)
+        assert to_dot(d) == to_dot(built)
+        assert d.arcs == arcs
+        assert d == built and built == d
+        assert hash(d) == hash(built)
+        # Forgetting directions gives the undirected Fitch graph, from the
+        # chain's sets as from the built digraph's.
+        u, inverted = underlying_undirected(d), underlying_undirected(built)
+        assert u == inverted == undirected_fitch(t)
+        assert hash(u) == hash(inverted)

@@ -15,7 +15,7 @@ from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.io import serialize_newick, to_dot
 from fitchgraph.recognition import ForbiddenWitness, Partition, recognize
 from fitchgraph.synthesis import canonical_tree, explain, is_least_resolved, minimal_tree
-from fitchgraph.tree import contract_edge, validate
+from fitchgraph.tree import _walk, contract_edge, validate
 
 from conftest import least_resolved_by_contraction, subdivide_edge
 
@@ -151,6 +151,24 @@ class TestMinimalTree:
                 p = Partition.canonical(blocks)
                 g = block_graph(p)
                 assert len(minimal_tree(p).vertices) == minimum_tree_size(g)
+
+
+def test_built_trees_carry_their_walk():
+    # canonical_tree and minimal_tree give preorder ids and set the walk,
+    # which names the parent and top that a fresh walk over the adjacency
+    # finds; checking the tree against its graph builds no adjacency.
+    for n in range(1, 6):
+        for blocks in set_partitions(ascii_lowercase[:n]):
+            p = part(*blocks)
+            canonical, minimal = canonical_tree(p), minimal_tree(p)
+            is_least_resolved(canonical, block_graph(p))
+            assert is_least_resolved(minimal, block_graph(p))
+            for t in (canonical, minimal):
+                assert "adjacency" not in vars(t)
+                walk, fresh = t.walk, _walk(t.adjacency, t.root)
+                assert list(walk.order) == list(range(len(t.vertices)))
+                assert all(walk.parent[v] == fresh.parent[v] for v in t.vertices)
+                assert all(walk.top[v] == fresh.top[v] for v in t.vertices)
 
 
 class TestLeastResolved:
