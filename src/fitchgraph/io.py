@@ -132,35 +132,32 @@ def serialize_newick(tree: LabeledTree) -> str:
     """
     if tree.root is None:
         raise ValueError("newick serialization requires a rooted tree")
-    names, adjacency, root = tree.leaf_names, tree.adjacency, tree.root
-    walk = tree.walk
+    names, root, walk = tree.leaf_names, tree.root, tree.walk
     key = dict(names)  # smallest leaf name below each vertex, children first
+    children: dict[int, list[int]] = {}
     for v in reversed(walk.order[1:]):
         p = walk.parent[v]
+        children.setdefault(p, []).append(v)
         if p not in key or key[v] < key[p]:
             key[p] = key[v]
-    # Pop a vertex to open it, a string to emit it.
+    # Pop a vertex to open it, a string to emit it; a childless one is a leaf.
     out: list[str] = []
     stack: list[int | str] = [root]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-        elif item in names and (item != root or not adjacency[item]):
+        elif item not in children:
             out.append(names[item])
         else:
             out.append("(")
             stack.append(")")
-            parent = walk.parent[item]
-            children = sorted((w for w in adjacency[item] if w != parent), key=key.get)
-            for i, w in enumerate(reversed(children)):
+            for i, w in enumerate(reversed(sorted(children[item], key=key.get))):
                 if i:
                     stack.append(",")
-                stack += [f":{adjacency[item][w]}", w]
-    if root not in names:
-        out.append("r")
-    elif adjacency[root]:
-        out.append(names[root])
+                stack += [f":{tree.label(item, w)}", w]
+    if root in children:
+        out.append(names.get(root, "r"))
     return "".join(out) + ";"
 
 

@@ -91,9 +91,10 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     O(|V| log |V| + (|V| + |E|) sqrt(|E|)) is the proven worst case, and
     O(|V| log |V| + |E|) after adding or removing one edge of a complete
     multipartite graph.  A class can be tested at more than one visit, so
-    no linear bound is proven in general; on generated threshold and nested
-    split graphs the work measured stayed within a small multiple of
-    |V| + |E|.
+    no linear bound is proven; threshold and nested split graphs measured
+    within a small multiple of |V| + |E|, but a clique c_0..c_{k-1}, with
+    d_j joined to the even c's and x_j to every c and d_j for j < m, costs
+    about m k^2 / 4: 0.02, 0.13, 1.2 s at k = m = 200, 400, 800 (2-CPU x86-64).
     """
     if not g.vertices:
         raise ValueError("empty graph")

@@ -14,6 +14,7 @@ from fitchgraph.io import (
     parse_newick,
     serialize_arclist,
     serialize_edgelist,
+    serialize_newick,
     to_dot,
 )
 from fitchgraph.recognition import Partition, recognize
@@ -146,12 +147,13 @@ def test_computed_digraphs_render_without_successor_sets():
 
 def test_parsed_trees_answer_without_adjacency():
     # A parsed tree carries its walk, so computing and checking its Fitch
-    # graphs never builds its adjacency.
+    # graphs, or writing it back, never builds its adjacency.
     tree = parse_newick("(a:0,b:0,c:0,(d:0,e:0):1,f:1)r;")
     g = undirected_fitch(tree)
     assert "adjacency" not in vars(tree)
     serialize_arclist(directed_fitch(tree))
     assert explains(tree, g) and is_least_resolved(tree, g)
+    assert serialize_newick(tree) == "(a:0,b:0,c:0,(d:0,e:0):1,f:1)r;"
     assert "adjacency" not in vars(tree)
 
 

@@ -199,8 +199,18 @@ class TestSerializeNewick:
         assert serialize_newick(LabeledTree.single("a")) == "a;"
 
     def test_leaf_root(self):
+        from fitchgraph.tree import LabeledTree
+
         t = minimal_tree(Partition.canonical([{"a"}, {"b"}]))
         assert serialize_newick(t) == "(b:1)a;"
+        # A leaf root above an inner vertex: parsed (preorder ids, list
+        # walk) and built with ids out of preorder (dict walk).
+        text = "((a:0,b:1):1)c;"
+        built = LabeledTree.build(
+            [(7, 3, 1), (3, 9, 0), (3, 1, 1)], {7: "c", 9: "a", 1: "b"}, root=7
+        )
+        for t in (parse_newick(text), built):
+            assert serialize_newick(t) == text
 
     def test_unrooted_rejected(self):
         t = enumerate_trees(3)[0]

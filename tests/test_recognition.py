@@ -164,6 +164,12 @@ class TestAgreement:
         g = graph("abcd", [])
         assert recognize(g).blocks == (frozenset("abcd"),)
 
+    def test_superlinear_family(self):
+        for k in range(2, 9):
+            for m in range(1, 6):
+                g = superlinear_family(k, m)
+                assert recognize(g) == recognize_bruteforce(g), (k, m)
+
 
 def nested_split(m: int) -> SimpleGraph:
     """Clique k0000..k{m-1} plus independent m_s joined to k0000..k_s."""
@@ -189,3 +195,23 @@ def test_nested_split_rejection_scale():
     elapsed = time.perf_counter() - t0
     assert result == ForbiddenWitness("m0000", ("k0001", "k0002"))
     assert elapsed < 0.5  # that cubic scan takes seconds here
+
+
+def superlinear_family(k: int, m: int) -> SimpleGraph:
+    """Clique c00000..c{k-1}; d_j joined to the even-indexed c's; x_j joined
+    to every c and to d_j (j < m)."""
+    cs = [f"c{i:05d}" for i in range(k)]
+    edges = list(combinations(cs, 2))
+    for j in range(m):
+        d, x = f"d{j:05d}", f"x{j:05d}"
+        edges += [(c, d) for c in cs[::2]] + [(c, x) for c in cs] + [(d, x)]
+    return SimpleGraph.build(cs + [f"{a}{j:05d}" for a in "dx" for j in range(m)], edges)
+
+
+def test_superlinear_family_witness():
+    # Every c class fails, and at every second step all m d classes lie in
+    # N(P) - N(C) and are tested at degree k/2 + 1: about m k^2 / 4 work
+    # against |E| of about k^2 / 2 + 1.5 m k.  Only the witness is pinned.
+    g = superlinear_family(200, 200)
+    assert len(g.adjacency) == 600
+    assert recognize(g) == ForbiddenWitness("d00000", ("c00001", "c00003"))

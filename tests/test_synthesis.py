@@ -156,7 +156,8 @@ class TestMinimalTree:
 def test_built_trees_carry_their_walk():
     # canonical_tree and minimal_tree give preorder ids and set the walk,
     # which names the parent and top that a fresh walk over the adjacency
-    # finds; checking the tree against its graph builds no adjacency.
+    # finds; checking the tree against its graph, or writing it as Newick,
+    # builds no adjacency.
     for n in range(1, 6):
         for blocks in set_partitions(ascii_lowercase[:n]):
             p = part(*blocks)
@@ -164,6 +165,7 @@ def test_built_trees_carry_their_walk():
             is_least_resolved(canonical, block_graph(p))
             assert is_least_resolved(minimal, block_graph(p))
             for t in (canonical, minimal):
+                serialize_newick(t)
                 assert "adjacency" not in vars(t)
                 walk, fresh = t.walk, _walk(t.adjacency, t.root)
                 assert list(walk.order) == list(range(len(t.vertices)))
