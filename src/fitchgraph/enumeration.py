@@ -237,10 +237,9 @@ def minimum_tree_size(g: SimpleGraph) -> int:
 
 
 def graph_line(g: SimpleGraph) -> str:
-    """One-line canonical rendering of a graph, for report listings."""
-    if not g.edges:
-        return "(edgeless)"
-    return " ".join(f"{x}--{y}" for x, y in sorted(g.edges))
+    """One-line canonical rendering of a graph, for report listings: its
+    edges in sorted order, read off its rows with no pair set built."""
+    return " ".join([f"{x}--{y}" for x, ys in g._rows()[1] for y in ys]) or "(edgeless)"
 
 
 def format_report(report: EnumerationReport, include_graphs: bool = False) -> str:

@@ -10,19 +10,14 @@ walk, :attr:`fitchgraph.tree.LabeledTree.walk`, which names the
 0-component of each vertex (what is left around it once every 1-edge is
 deleted) by its highest vertex, top(v).  Two leaves are non-adjacent
 exactly when they share a top, so the undirected graph is the complete
-multipartite graph on the 0-components' leaf sets, held as those blocks:
-O(tree), with no neighbour set built until something reads one, and
-rendered as an edge list straight from the blocks.  (x, y) is an arc
+multipartite graph on the 0-components' leaf sets.  (x, y) is an arc
 exactly when x is not below top(y), so every leaf of one 0-component has
-the same out-neighbours: the leaves outside the components of its top
-and of the tops above it, that is its parent component's out-neighbours
-less its own leaves.  The directed graph holds that chain of
-0-components, each with its parent's top and its leaves: O(tree), with
-no successor set built until something reads one (then one per
-0-component, shared by its leaves), and rendered as an arc list by
-cutting each component's list out of its parent's.  Parsed and
-synthesized trees carry their walk from construction, so neither graph
-builds the tree's adjacency for them.
+the same out-neighbours: its parent component's out-neighbours less its
+own leaves.  Each graph is held as a chain of 0-components (see
+:mod:`fitchgraph.graphs`), in O(tree), with no neighbour or successor set
+built until something reads one.  Parsed and synthesized trees carry
+their walk from construction, so neither graph builds the tree's
+adjacency for them.
 """
 
 from __future__ import annotations
@@ -69,8 +64,7 @@ def directed_fitch(tree: LabeledTree) -> DirectedGraph:
     """Digraph with arc (x, y) iff a 1-edge lies on the lca(x, y) .. y path.
 
     Held as the chain of 0-components in preorder, each with the top of
-    its parent component (None at the root) and its leaves: O(tree), with
-    no successor set built until something reads one.
+    its parent component (None at the root) and its leaves.
     """
     if tree.root is None:
         raise ValueError("directed Fitch graph requires a root")

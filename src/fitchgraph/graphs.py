@@ -5,32 +5,47 @@ are normalized (min, max) name pairs, arcs are ordered pairs.  Both types
 are immutable and hashable, so sets of graphs work as expected -- the
 exhaustive enumeration machinery relies on that.
 
-A graph holds its pairs as a set of tuples, as a map from each vertex to
-a frozenset -- its neighbours (``SimpleGraph.adjacency``) or the heads of
-its out-arcs (``DirectedGraph.successors``) -- or both, and derives
-either form from the other on first read.  A Fitch graph holds the chain
-of its tree's 0-components instead, in O(V + components) (see
-``_Graph._from_chain``): a directed one from
-:func:`fitchgraph.fitch.directed_fitch`, and an undirected one, made by
-:func:`complete_multipartite`, as blocks that all hang from the root.
-It builds its sets (one frozenset per entry, shared by its members) only
-when the sets, the pairs, ``==`` or the hash is read, and
-:mod:`fitchgraph.io` renders it from the chain.  Built and parsed graphs
-carry the sets only.  Every question this package asks of a graph reads
-the sets, and equality and hashing compare the sets and never build pair
-tuples, so the tuples are made only when something reads ``.edges`` or
-``.arcs``.  ``_from_sets`` freezes its builder's lists or sets in place,
-so no second copy is ever alive.
+How a graph is stored is known to this module alone.  A graph holds a
+set of pair tuples, a map from each vertex to a frozenset (its
+neighbours, ``SimpleGraph.adjacency``, or the heads of its out-arcs,
+``DirectedGraph.successors``), or both, and derives either form from the
+other on first read.  Built and parsed graphs hold the sets, frozen in
+place from their builder's lists or sets, so no second copy is alive.  A
+Fitch graph holds the chain of its tree's 0-components instead, parents
+first, each with its parent and its member names, in O(V + components):
+an entry's members reach every vertex except the members of the entries
+on their path to the root (:func:`complete_multipartite` hangs every
+block from the root).  One fold over the chain, each entry's value its
+parent's less its members, gives both the sets (one frozenset per entry,
+built only when the sets, the pairs, ``==`` or the hash is read) and the
+sorted rows every renderer reads, each entry's list cut out of its
+parent's by bisection in O(V log V + output).  Equality and hashing
+compare the sets and never build pair tuples, so the tuples are made
+only when something reads ``.edges`` or ``.arcs``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import Collection, Iterable
+from itertools import compress
+from typing import Callable, Collection, Iterable, TypeVar
 
 # A Fitch graph's 0-components, parents first: one (key, parent key or
-# None, member names) entry each (see _Graph._from_chain).
+# None, member names) entry each.
 Chain = tuple[tuple[int, "int | None", Collection[str]], ...]
+T = TypeVar("T")
+
+
+def _cut(above: list[str], members: Collection[str]) -> list[str]:
+    """The sorted list *above* less *members*, all of which it holds, each
+    located by bisection."""
+    ys, start = [], 0
+    for i in sorted([bisect_left(above, x) for x in members]):
+        ys += above[start:i]
+        start = i + 1
+    ys += above[start:]
+    return ys
 
 
 def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
@@ -43,9 +58,7 @@ def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
 
 class _Graph:
     """Vertices plus a pair set (attribute ``_pairs``), a name -> frozenset
-    map (attribute ``_sets``) or the chain of 0-components of a Fitch graph
-    (``_chain``, else None); the sets and the pairs are derived on first
-    read.
+    map (attribute ``_sets``) or a chain (``_chain``, else None).
 
     Immutable: assignment and deletion raise, though a ``cached_property``
     still fills its slot in the instance ``__dict__`` on first read.  Two
@@ -76,26 +89,44 @@ class _Graph:
 
     @classmethod
     def _from_chain(cls, vertices: frozenset[str], chain: Chain):
-        """The graph in which the members of each entry (key, parent key or
-        None, members) of *chain* reach every vertex except their own
-        entry's members and those of the entries above it.  Parents come
-        before their children; nothing checks that, nor that the members
-        partition *vertices*.  A :class:`SimpleGraph` must hang every entry
-        from the root, or its sets are not symmetric."""
+        """The graph held as *chain*.  Nothing checks that parents come
+        first or that the members partition *vertices*; a
+        :class:`SimpleGraph` must hang every entry from the root, or its
+        sets are not symmetric."""
         g = object.__new__(cls)
         g.__dict__.update(vertices=vertices, _chain=chain)
         return g
 
-    def _chain_sets(self) -> dict[str, frozenset[str]]:
-        """The sets of a chain-held graph: each entry's set is its parent's
-        less its members, shared by them; an entry without members shares
-        its parent's set."""
-        above: dict[int | None, frozenset[str]] = {None: self.vertices}
-        shared: dict[str, frozenset[str]] = {}
+    def _fold(self, whole: T, less: Callable[[T, Collection[str]], T]) -> dict[str, T]:
+        """Each vertex's value over the chain: an entry's value is
+        ``less(its parent's value, its members)``, with *whole* above the
+        root, and its members share it; an entry without members takes its
+        parent's value."""
+        above: dict[int | None, T] = {None: whole}
+        shared: dict[str, T] = {}
         for key, up, members in self._chain:
-            ys = above[key] = above[up].difference(members) if members else above[up]
-            shared.update(dict.fromkeys(members, ys))
+            value = above[key] = less(above[up], members) if members else above[up]
+            shared.update(dict.fromkeys(members, value))
         return shared
+
+    def _rows(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
+        """The sorted names, each with its neighbours (successors, in a
+        digraph) as a sorted list; equal lists are one list.  A chain's
+        lists are cut out of the names; a set holding at least half the
+        names is read off them in one pass, O(n) <= O(2|set|), and a
+        smaller one is sorted."""
+        names = sorted(self.vertices)
+        if self._chain is not None:
+            lists = self._fold(names, _cut)
+        else:
+            sets, n, lists, by_set = getattr(self, self._sets), len(names), {}, {}
+            for x, nbrs in sets.items():
+                ys = by_set.get(nbrs)
+                if ys is None:
+                    ys = by_set[nbrs] = (list(compress(names, map(nbrs.__contains__, names)))
+                                         if 2 * len(nbrs) >= n else sorted(nbrs))
+                lists[x] = ys
+        return names, [(x, lists[x]) for x in names]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -144,7 +175,7 @@ class SimpleGraph(_Graph):
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
         if self._chain is not None:
-            return self._chain_sets()
+            return self._fold(self.vertices, frozenset.difference)
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.edges:
             adj[x].append(y)
@@ -154,6 +185,12 @@ class SimpleGraph(_Graph):
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         return frozenset([(x, y) for x, nbrs in self.adjacency.items() for y in nbrs if x < y])
+
+    def _rows(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
+        """The rows of :meth:`_Graph._rows`, each keeping only the neighbours
+        after its name, so that each edge is rendered once."""
+        names, rows = super()._rows()
+        return names, [(x, ys[bisect_right(ys, x):]) for x, ys in rows]
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
@@ -197,7 +234,7 @@ class DirectedGraph(_Graph):
     @cached_property
     def successors(self) -> dict[str, frozenset[str]]:
         if self._chain is not None:
-            return self._chain_sets()
+            return self._fold(self.vertices, frozenset.difference)
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         for x, y in self.arcs:
             succ[x].append(y)

@@ -18,8 +18,7 @@ limit (about 1,000 levels) raises ``RecursionError``, a known defect.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from itertools import compress, count, islice
+from itertools import count, islice
 from typing import Iterator
 
 from .graphs import DirectedGraph, SimpleGraph
@@ -223,54 +222,11 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph._from_sets(frozenset(adj), adj)
 
 
-def _sorted_sets(names: list[str], g: SimpleGraph | DirectedGraph) -> list[tuple[str, list[str]]]:
-    """Each of the sorted *names* with its neighbours in *g* (successors, in
-    a digraph) as a sorted list; vertices with equal lists share one.
-
-    A graph held as a chain of 0-components (a block-held graph is one
-    whose blocks all hang from the root) is cut out of *names* with no
-    set built, in O(V log V + output): a component's list is its parent
-    component's list (*names* at the root) less the component's leaves,
-    each located by bisection; a leafless component shares its parent's
-    list.  A graph held as sets gets one list per distinct set: a set
-    holding at least half the names is read off *names* in one pass,
-    O(n) <= O(2|set|); a smaller one is sorted.
-    """
-    if g._chain is not None:
-        lists: dict[int | None, list[str]] = {None: names}
-        cut: dict[str, list[str]] = {}
-        for key, up, members in g._chain:
-            ys = above = lists[up]
-            if members:
-                ys, start = [], 0
-                for i in sorted([bisect_left(above, x) for x in members]):
-                    ys += above[start:i]
-                    start = i + 1
-                ys += above[start:]
-                cut.update(dict.fromkeys(members, ys))
-            lists[key] = ys
-        return [(x, cut[x]) for x in names]
-    sets = getattr(g, g._sets)
-    n = len(names)
-    lists: dict[frozenset[str], list[str]] = {}
-    out = []
-    for x in names:
-        nbrs = sets[x]
-        ys = lists.get(nbrs)
-        if ys is None:
-            if 2 * len(nbrs) >= n:
-                ys = list(compress(names, map(nbrs.__contains__, names)))
-            else:
-                ys = sorted(nbrs)
-            lists[nbrs] = ys
-        out.append((x, ys))
-    return out
-
-
-def _pair_lines(names: list[str], after: list[tuple[str, list[str]]]) -> str:
-    """The ``vertices:`` line, then one ``x y`` line per pair."""
+def _pair_lines(g: SimpleGraph | DirectedGraph) -> str:
+    """The ``vertices:`` line, then one ``x y`` line per row entry."""
+    names, rows = g._rows()
     lines = ["vertices: " + " ".join(names)]
-    for x, ys in after:
+    for x, ys in rows:
         if ys:
             head = x + " "
             lines.append(head + ("\n" + head).join(ys))
@@ -279,15 +235,13 @@ def _pair_lines(names: list[str], after: list[tuple[str, list[str]]]) -> str:
 
 
 def serialize_edgelist(g: SimpleGraph) -> str:
-    names = sorted(g.vertices)
-    after = [(x, ys[bisect_right(ys, x):]) for x, ys in _sorted_sets(names, g)]
-    return _pair_lines(names, after)
+    """Edge-per-line rendering of a graph, each edge once as ``x y`` with x < y."""
+    return _pair_lines(g)
 
 
 def serialize_arclist(d: DirectedGraph) -> str:
     """Arc-per-line rendering of a digraph (same layout as edge lists)."""
-    names = sorted(d.vertices)
-    return _pair_lines(names, _sorted_sets(names, d))
+    return _pair_lines(d)
 
 
 # --------------------------------------------------------------------------
@@ -303,13 +257,13 @@ def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
     """Graphviz text for a graph, digraph, or labeled tree."""
     if isinstance(obj, (SimpleGraph, DirectedGraph)):
         directed = isinstance(obj, DirectedGraph)
-        names = sorted(obj.vertices)
+        names, rows = obj._rows()
         quoted = {v: _dot_quote(v) for v in names}
         lines = ["digraph {" if directed else "graph {"]
         lines += [f"  {quoted[v]};" for v in names]
-        for x, ys in _sorted_sets(names, obj):
+        for x, ys in rows:
             head = f"  {quoted[x]} {'->' if directed else '--'} "
-            lines += [f"{head}{quoted[y]};" for y in (ys if directed else ys[bisect_right(ys, x):])]
+            lines += [f"{head}{quoted[y]};" for y in ys]
         lines.append("}\n")
         return "\n".join(lines)
     if isinstance(obj, LabeledTree):

@@ -154,9 +154,6 @@ class LabeledTree:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> Iterable[int]:
-        return self.adjacency[v]
-
     def label(self, u: int, v: int) -> int:
         return self.edge_labels[edge_key(u, v)]
 

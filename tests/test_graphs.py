@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from fitchgraph.enumeration import all_graphs
+from fitchgraph.enumeration import all_graphs, graph_line
 from fitchgraph.fitch import directed_fitch, explains, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
@@ -97,6 +97,7 @@ def test_readers_leave_edge_tuples_unbuilt():
     blocks = [["a", "b", "c"], ["d", "e"], ["f"]]
     cross = [(x, y) for b1, b2 in combinations(blocks, 2) for x in b1 for y in b2]
     text = serialize_edgelist(SimpleGraph.build("abcdef", cross))
+    line = " ".join(f"{x}--{y}" for x, y in sorted(cross))
     for make in (
         lambda: SimpleGraph.build("abcdef", cross),
         lambda: parse_edgelist(text),
@@ -107,6 +108,7 @@ def test_readers_leave_edge_tuples_unbuilt():
         assert explains(canonical_tree(partition), g)
         assert is_least_resolved(minimal_tree(partition), g)
         assert serialize_edgelist(g) == text
+        assert graph_line(g) == line
         to_dot(g)
         assert "edges" not in g.__dict__
     for make in (
@@ -128,6 +130,7 @@ def test_computed_graphs_render_without_neighbour_sets():
     g = undirected_fitch(tree)
     assert serialize_edgelist(g) == serialize_edgelist(built)
     assert to_dot(g) == to_dot(built)
+    assert graph_line(g) == graph_line(built)
     assert "adjacency" not in vars(g) and "edges" not in vars(g)
     assert g == built and "adjacency" in vars(g)
 

@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fitchgraph.enumeration import graph_line
 from fitchgraph.fitch import directed_fitch, underlying_undirected, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
@@ -172,6 +173,7 @@ class TestBlockGraphProperties:
         built = SimpleGraph.build(held.vertices, cross)
         assert serialize_edgelist(held) == serialize_edgelist(built)
         assert to_dot(held) == to_dot(built)
+        assert graph_line(held) == graph_line(built)
         assert held == built and built == held
         assert hash(held) == hash(built)
 
