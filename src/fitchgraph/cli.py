@@ -21,9 +21,9 @@ from .tree import LabeledTree
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
 
 
 def _load_tree(path: str) -> LabeledTree:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from string import ascii_lowercase
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .fitch import explains, undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
@@ -64,39 +64,23 @@ def _default_names(n: int) -> list[str]:
     return list(ascii_lowercase[:n])
 
 
-class _Topology(NamedTuple):
-    """An unlabeled topology: its vertex ids, its sorted normalized edges,
-    ``leaves[i]``, the vertex that carries the i-th leaf name, and
-    ``upward``, the (vertex, parent) pairs of its walk, children first."""
-
-    vertices: frozenset[int]
-    edges: tuple[Edge, ...]
-    leaves: tuple[int, ...]
-    upward: tuple[tuple[int, int], ...]
-
-
-def _topology(vertices: frozenset[int], edges: list[Edge], leaves: tuple[int, ...]) -> _Topology:
-    edges = sorted(edges)
-    walk = LabeledTree(vertices, dict.fromkeys(edges, 0), {}).walk
-    upward = tuple((v, walk.parent[v]) for v in reversed(walk.order[1:]))
-    return _Topology(vertices, tuple(edges), leaves, upward)
-
-
 @cache
-def _topologies(n: int) -> tuple[_Topology, ...]:
-    """Every topology on n >= 2 leaves, grown once from those on n - 1."""
+def _topologies(n: int) -> tuple[LabeledTree, ...]:
+    """Every topology on n >= 2 leaves, grown once from those on n - 1.
+    Its labels are all 0 and its i-th inserted leaf is ``ascii_lowercase[i]``."""
     if n == 2:
-        return (_topology(frozenset({0, 1}), [(0, 1)], (0, 1)),)
-    grown: list[_Topology] = []
-    for vertices, edges, leaves, _ in _topologies(n - 1):
-        fresh = max(vertices) + 1
-        for u, v in edges:  # subdivide (u, v) by a new vertex holding the new leaf
-            mid, leaf = fresh, fresh + 1
-            rest = [e for e in edges if e != (u, v)]
-            rest += [(u, mid), (v, mid), (mid, leaf)]
-            grown.append(_topology(vertices | {mid, leaf}, rest, leaves + (leaf,)))
-        for x in sorted(vertices.difference(leaves)):  # hang the new leaf on x
-            grown.append(_topology(vertices | {fresh}, [*edges, (x, fresh)], leaves + (fresh,)))
+        return (LabeledTree.build([(0, 1, 0)], {0: "a", 1: "b"}),)
+    grown: list[LabeledTree] = []
+    for topo in _topologies(n - 1):
+        edges, names = sorted(topo.edge_labels), topo.leaf_names
+        mid = max(topo.vertices) + 1
+        # (edges, new leaf): subdivide (u, v) by mid holding the leaf, or hang the leaf on x
+        sites = [([e for e in edges if e != (u, v)] + [(u, mid), (v, mid), (mid, mid + 1)], mid + 1)
+                 for u, v in edges]
+        sites += [([*edges, (x, mid)], mid) for x in sorted(topo.vertices.difference(names))]
+        for new_edges, leaf in sites:
+            new_names = {**names, leaf: ascii_lowercase[n - 1]}
+            grown.append(LabeledTree.build([(u, v, 0) for u, v in sorted(new_edges)], new_names))
     return tuple(grown)
 
 
@@ -118,7 +102,7 @@ def enumerate_trees(n: int, names: Sequence[str] | None = None) -> list[LabeledT
     if len(leaf_names) != n or len(set(leaf_names)) != n:
         raise ValueError("need exactly n distinct leaf names")
     return [
-        LabeledTree(t.vertices, dict.fromkeys(t.edges, 0), dict(zip(t.leaves, leaf_names)))
+        LabeledTree(t.vertices, dict(t.edge_labels), dict(zip(t.leaf_names, leaf_names)))
         for t in _topologies(n)
     ]
 
@@ -220,12 +204,14 @@ def minimum_tree_size(g: SimpleGraph) -> int:
         return 1
     names = sorted(g.vertices)
     for topo in sorted(_topologies(n), key=lambda t: len(t.vertices)):
-        leaf_names = dict(zip(topo.leaves, names))
+        leaf_names = dict(zip(topo.leaf_names, names))
         below: dict[int, set[str]] = {v: set() for v in topo.vertices}
         for v, name in leaf_names.items():
             below[v].add(name)
         labels: dict[Edge, int] = {}
-        for v, up in topo.upward:  # the edge (v, up) has the leaves below v on one side
+        walk = topo.walk
+        for v in reversed(walk.order[1:]):  # children first
+            up = walk.parent[v]  # the edge (v, up) has the leaves below v on one side
             side = below[v]
             labels[edge_key(v, up)] = int(
                 all(b <= side or b.isdisjoint(side) for b in partition.blocks)

@@ -6,7 +6,8 @@ rejected, not coerced.  Edge lists start with a ``vertices:`` line and
 continue with one ``<name> <name>`` line per edge; ``#`` starts a comment.
 All parsers raise :class:`ParseError` with a position on malformed input
 and never anything else; serializers emit a canonical form (sorted, LF
-line endings) so output is stable enough for golden files.
+line endings) so output is stable enough for golden files, and raise
+ValueError on a name that their format's parser would not read back.
 
 Newick is split into tokens (``( ) : , ;`` and the runs between them) in
 one regular-expression pass; one recursive descent over the tokens builds
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import re
 from itertools import count, islice
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
@@ -46,6 +47,16 @@ class ParseError(ValueError):
 
 def _normalize(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _check_names(names: Collection[str], stops: str) -> None:
+    """Raise ValueError naming the first name, in sorted order, that is
+    empty or holds whitespace or a character of *stops*: a name that its
+    format cannot carry.  Clean names cost a few C-level scans."""
+    text = "".join(names)
+    if names and (not all(names) or text.split() != [text] or any(c in text for c in stops)):
+        bad = min(x for x in names if x.split() != [x] or any(c in x for c in stops))
+        raise ValueError(f"cannot write name {bad!r}: empty, or holds whitespace or one of {stops!r}")
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +143,7 @@ def serialize_newick(tree: LabeledTree) -> str:
     if tree.root is None:
         raise ValueError("newick serialization requires a rooted tree")
     names, root, walk = tree.leaf_names, tree.root, tree.walk
+    _check_names(names.values(), "(),:;")
     key = dict(names)  # smallest leaf name below each vertex, children first
     children: dict[int, list[int]] = {}
     for v in reversed(walk.order[1:]):
@@ -225,6 +237,7 @@ def parse_edgelist(text: str) -> SimpleGraph:
 def _pair_lines(g: SimpleGraph | DirectedGraph) -> str:
     """The ``vertices:`` line, then one ``x y`` line per row entry."""
     names, rows = g._rows()
+    _check_names(names, "#")
     lines = ["vertices: " + " ".join(names)]
     for x, ys in rows:
         if ys:

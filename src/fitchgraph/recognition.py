@@ -94,7 +94,7 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     no linear bound is proven; threshold and nested split graphs measured
     within a small multiple of |V| + |E|, but a clique c_0..c_{k-1}, with
     d_j joined to the even c's and x_j to every c and d_j for j < m, costs
-    about m k^2 / 4: 0.02, 0.13, 1.2 s at k = m = 200, 400, 800 (2-CPU x86-64).
+    about m k^2 / 4.
     """
     if not g.vertices:
         raise ValueError("empty graph")

@@ -128,6 +128,42 @@ class TestRecognize:
         assert code == 2
 
 
+class TestByteOrderMark:
+    # A leading U+FEFF, as some editors save UTF-8, is not part of the text.
+    GRAPH, TREE = "vertices: a b\na b\n", "((a:0,b:1):1,c:0)r;"
+
+    def test_graph_file(self, run, tmp_path):
+        path = tmp_path / "bom.graph"
+        path.write_text(self.GRAPH, encoding="utf-8-sig")
+        assert run("recognize", str(path)) == (0, "blocks: {a} {b}\n", "")
+
+    def test_graph_stdin(self, run):
+        assert run("recognize", "-", stdin="\ufeff" + self.GRAPH) == (0, "blocks: {a} {b}\n", "")
+
+    def test_tree_file(self, run, tmp_path):
+        path = tmp_path / "bom.nwk"
+        path.write_text(self.TREE, encoding="utf-8-sig")
+        assert run("compute", str(path)) == (0, "vertices: a b c\na b\na c\nb c\n", "")
+
+    def test_tree_stdin(self, run):
+        code, out, _ = run("compute", "-", stdin="\ufeff" + self.TREE)
+        assert (code, out) == (0, "vertices: a b c\na b\na c\nb c\n")
+
+
+class TestUnwritableNames:
+    # Each serializer refuses a name its own parser would not read back.
+    def test_explain_newick_delimiters(self, run):
+        code, out, err = run("explain", "-", stdin="vertices: a( b:c\na( b:c\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write name 'a(':")
+
+    @pytest.mark.parametrize("flags", [[], ["--directed"]])
+    def test_compute_comment(self, run, flags):
+        code, out, err = run("compute", *flags, "-", stdin="(a#b:1,c:1)r;")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write name 'a#b':")
+
+
 class TestExplain:
     def test_minimal(self, run, k221_file):
         code, out, _ = run("explain", k221_file, "--minimal")

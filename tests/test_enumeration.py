@@ -119,11 +119,15 @@ class TestEnumerateTrees:
         assert enumerate_trees(n) == trees_by_insertion(list(ascii_lowercase[:n]))
 
     def test_returned_trees_are_fresh(self):
+        # The cached topologies also hold the walks minimum_tree_size reads.
+        g = complete_multipartite([{"a", "b"}, {"c"}, {"d"}])
+        size = minimum_tree_size(g)
         first = enumerate_trees(4)
         for t in first:
             t.edge_labels[min(t.edge_labels)] = 1
             t.edge_labels[(98, 99)] = 0
             t.leaf_names[0] = "zz"
+        assert minimum_tree_size(g) == size
         assert enumerate_trees(4) == trees_by_insertion(list("abcd"))
 
 

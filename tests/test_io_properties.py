@@ -38,6 +38,8 @@ def names_without(stop):
 
 NAMES = names_without("#")
 NEWICK_NAMES = names_without("():,;")
+# Names with the delimiters of both formats, whitespace, and the empty name.
+ANY_NAMES = st.text(st.sampled_from(list("ab():,;# \t\r\n\x1c\u2003")), max_size=3)
 EDGELIST_TOKENS = ["a", "b", "c", "vertices:", "#", " ", "\t", "\r", "\n", "\x0b"]
 NEWICK_TOKENS = ["(", ")", ":", ",", ";", "0", "1", "a", "b", "r", ":0", ":1",
                  " ", "\t", "\r", "\n", "\x0b", "\u2003"]
@@ -69,7 +71,7 @@ def partitions(draw):
 
 
 @st.composite
-def newick_trees(draw):
+def newick_trees(draw, name=NEWICK_NAMES):
     """A rooted tree with ids in preorder and sorted names on its leaves in
     preorder, so the serializer keeps the order of every vertex's children
     and parsing its output gives back the same ids."""
@@ -83,7 +85,7 @@ def newick_trees(draw):
         order.append(shape)
     # the root is a leaf when it has one child
     leaves = [v for v, shape in enumerate(order) if len(shape) <= (v == 0)]
-    drawn = draw(st.lists(NEWICK_NAMES, unique=True, min_size=len(leaves), max_size=len(leaves)))
+    drawn = draw(st.lists(name, unique=True, min_size=len(leaves), max_size=len(leaves)))
     return LabeledTree(frozenset(range(len(order))), labels, dict(zip(leaves, sorted(drawn))), 0)
 
 
@@ -160,6 +162,51 @@ class TestEdgeListProperties:
         for v, nbrs in adj.items():
             assert v not in nbrs
             assert all(v in adj[u] for u in nbrs)
+
+
+def unwritable(names, stops):
+    """The first name, in sorted order, that is empty or holds whitespace
+    or a character of *stops*; None if there is none."""
+    return min((x for x in names if x.split() != [x] or set(x) & set(stops)), default=None)
+
+
+class TestUnwritableNameProperties:
+    # A serializer either refuses the first unwritable name, or writes text
+    # that its parser reads back as the same object.
+    @settings(derandomize=True, max_examples=300)
+    @given(newick_trees(ANY_NAMES))
+    def test_newick(self, t):
+        bad = unwritable(t.leaf_names.values(), "(),:;")
+        try:
+            text = serialize_newick(t)
+        except ValueError as exc:
+            assert bad is not None and str(exc).startswith(f"cannot write name {bad!r}:")
+            return
+        assert parse_newick(text) == t
+
+    @settings(derandomize=True, max_examples=300)
+    @given(named_graphs(ANY_NAMES))
+    def test_edgelist(self, g):
+        bad = unwritable(g.vertices, "#")
+        try:
+            text = serialize_edgelist(g)
+        except ValueError as exc:
+            assert bad is not None and str(exc).startswith(f"cannot write name {bad!r}:")
+            return
+        assert parse_edgelist(text) == g
+
+    @settings(derandomize=True, max_examples=300)
+    @given(named_graphs(ANY_NAMES), st.randoms(use_true_random=False))
+    def test_arclist(self, g, rng):
+        # An orientation of g: its arc list reads back as g's edge list.
+        arcs = [(x, y) if rng.random() < 0.5 else (y, x) for x, y in sorted(g.edges)]
+        bad = unwritable(g.vertices, "#")
+        try:
+            text = serialize_arclist(DirectedGraph.build(g.vertices, arcs))
+        except ValueError as exc:
+            assert bad is not None and str(exc).startswith(f"cannot write name {bad!r}:")
+            return
+        assert parse_edgelist(text) == g
 
 
 class TestBlockGraphProperties:
