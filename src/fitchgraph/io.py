@@ -14,13 +14,19 @@ one regular-expression pass; one recursive descent over the tokens builds
 the tree, and offsets are recovered only for an error.  The descent takes
 one call per nesting level, so input nested beyond Python's recursion
 limit (about 1,000 levels) raises ``RecursionError``, a known defect.
+
+An edge list is read in one pass that fills a neighbour list per vertex,
+one dictionary lookup per edge end, and freezes the lists in place.  A
+repeated edge is found by the degree sum (the frozen sets hold fewer
+names than were appended), and only when the pass sees a fault does a
+second, error-only walk over the text find the first bad line.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import count, islice
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NoReturn
 
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
@@ -188,15 +194,27 @@ def looks_like_edgelist(text: str) -> bool:
     return False
 
 
-def parse_edgelist(text: str) -> SimpleGraph:
-    """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph.
-
-    One pass over the lines; on malformed input the first bad line in
-    line order is reported, with its 1-based number.
-    """
+def _edge_lines(text: str) -> list[str]:
+    """The lines of *text*, ended at LF, CR or CRLF, with comments cut off."""
     lines = _normalize(text).split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
+    return lines
+
+
+def parse_edgelist(text: str) -> SimpleGraph:
+    """Parse the ``vertices:`` / edge-per-line format into a SimpleGraph.
+
+    Each edge line appends each end's name to the other end's neighbour
+    list, after one lookup per end that also hands back the header's own
+    name string, and the lists are frozen in place.  A repeated edge, in
+    either orientation, shows only there: without one, the frozen sets'
+    sizes sum to the number of appended ends, and with one the sum is
+    smaller.  On any fault a second walk over *text* reports the first bad
+    line in line order, with its 1-based number; valid input never pays
+    for it.
+    """
+    lines = _edge_lines(text)
     for start, header in enumerate(lines):
         header = header.strip()
         if header:
@@ -206,32 +224,49 @@ def parse_edgelist(text: str) -> SimpleGraph:
     if not header.startswith("vertices:"):
         raise ParseError("expected 'vertices:' header line", line=start + 1)
     vertices = header[len("vertices:"):].split()
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
     if len(adj) != len(vertices):
         raise ParseError("duplicate vertex name", line=start + 1)
-    # Each name maps to the header's own string and its neighbour set, so
-    # the sets hold the header's names and each line's split strings die
+    # Each name maps to the header's own string and its neighbour list, so
+    # the lists hold the header's names and each line's split strings die
     # with the line.
     entry = {v: (v, nbrs) for v, nbrs in adj.items()}
-    for lineno, parts in enumerate(map(str.split, lines[start + 1:]), start + 2):
-        try:
-            x, y = parts
+    try:
+        for x, y in filter(None, map(str.split, lines[start + 1:])):
             (x, ax), (y, ay) = entry[x], entry[y]
-        except ValueError:
-            if not parts:
-                continue
+            if x is y:
+                raise ValueError  # a self-loop, named by the walk below
+            ax.append(y)
+            ay.append(x)
+    except (ValueError, KeyError):
+        _raise_bad_line(text, start, adj)
+    del lines, entry  # free the lines, and entry's hold on the lists, before freezing
+    ends = sum(map(len, adj.values()))
+    g = SimpleGraph._from_sets(frozenset(adj), adj)
+    if sum(map(len, g.adjacency.values())) != ends:
+        _raise_bad_line(text, start, adj)
+    return g
+
+
+def _raise_bad_line(text: str, start: int, names: Collection[str]) -> NoReturn:
+    """Raise the ParseError of the first bad edge line of *text*, whose
+    header, naming *names*, is line *start* + 1.  Called only once the
+    parse has seen a fault, so one line is bad."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, parts in enumerate(map(str.split, _edge_lines(text)[start + 1:]), start + 2):
+        if not parts:
+            continue
+        if len(parts) != 2:
             raise ParseError("expected two endpoint names", line=lineno) from None
-        except KeyError:
-            unknown = x if x not in adj else y
-            raise ParseError(f"unknown endpoint {unknown!r}", line=lineno) from None
+        x, y = parts
+        if x not in names or y not in names:
+            raise ParseError(f"unknown endpoint {x if x not in names else y!r}", line=lineno) from None
         if x == y:
-            raise ParseError(f"self-loop at {x!r}", line=lineno)
-        if y in ax:
-            raise ParseError(f"duplicate edge {x} {y}", line=lineno)
-        ax.add(y)
-        ay.add(x)
-    del lines, entry  # free the lines, and entry's hold on the sets, before freezing
-    return SimpleGraph._from_sets(frozenset(adj), adj)
+            raise ParseError(f"self-loop at {x!r}", line=lineno) from None
+        if (x, y) in seen:
+            raise ParseError(f"duplicate edge {x} {y}", line=lineno) from None
+        seen.update([(x, y), (y, x)])
+    raise AssertionError("no bad edge line")
 
 
 def _pair_lines(g: SimpleGraph | DirectedGraph) -> str:

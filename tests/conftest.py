@@ -7,13 +7,15 @@ membership is re-decided through complement components, least-resolution
 by contracting every inner edge, the smallest explaining tree by sweeping
 every labeling of topologies grown anew, Bell numbers come from the binomial
 recurrence instead of the Bell triangle, and topology counts from the
-rooted series-reduced tree recurrence.  Agreement between routes is
-what the tests assert.
+rooted series-reduced tree recurrence, and an edge list's first fault
+from the format's definition, line by line, with a set of seen pairs.
+Agreement between routes is what the tests assert.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -213,6 +215,46 @@ def minimum_tree_size_bruteforce(g: SimpleGraph) -> int:
         if any(explains(t, g) for t in edge_labelings(topo)):
             return len(topo.vertices)
     raise AssertionError("no explaining tree found for a multipartite graph")
+
+
+def edgelist_oracle(text: str) -> tuple[str, int] | list[tuple[str, str]]:
+    """The first fault of an edge list as (message, line), else its edges.
+
+    Reads the format line by line from its definition: lines end at LF, CR
+    or CRLF, ``#`` starts a comment, the first line with text is the
+    ``vertices:`` header, and every later line with text names two
+    distinct header names that no earlier line joined, in either order.
+    """
+    names: list[str] | None = None
+    seen: set[frozenset[str]] = set()
+    pairs: list[tuple[str, str]] = []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        if names is None:
+            if not line.startswith("vertices:"):
+                return "expected 'vertices:' header line", lineno
+            names = line[len("vertices:"):].split()
+            if len(set(names)) < len(names):
+                return "duplicate vertex name", lineno
+            continue
+        words = line.split()
+        if len(words) != 2:
+            return "expected two endpoint names", lineno
+        for v in words:
+            if v not in names:
+                return f"unknown endpoint {v!r}", lineno
+        x, y = words
+        if x == y:
+            return f"self-loop at {x!r}", lineno
+        if frozenset(words) in seen:
+            return f"duplicate edge {x} {y}", lineno
+        seen.add(frozenset(words))
+        pairs.append((x, y))
+    if names is None:
+        return "empty input (expected 'vertices:' header)", 1
+    return pairs
 
 
 # -- random structure generators ---------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from fitchgraph.io import (
 )
 from fitchgraph.tree import LabeledTree, validate
 
-from conftest import caterpillar, directed_fitch_bruteforce, random_tree
+from conftest import caterpillar, directed_fitch_bruteforce, edgelist_oracle, random_tree
 
 
 def names_without(stop):
@@ -57,6 +58,46 @@ def named_graphs(draw, name=NAMES):
     pairs = list(combinations(names, 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return SimpleGraph.build(names, edges)
+
+
+@st.composite
+def faulty_edgelists(draw):
+    """A serialized graph with one to three changes, each a comment after
+    a line's text or a line inserted after the header: a repeated edge in
+    either orientation, a self-loop, an unknown name, one or three names,
+    a blank line or a comment.  Its lines end at LF, CR or CRLF.  Returns
+    the graph and the text."""
+    g = draw(named_graphs())
+    names = sorted(g.vertices)
+    stranger = draw(NAMES.filter(lambda x: x not in g.vertices))
+    known = st.sampled_from(names) if names else st.just(stranger)
+    lines = serialize_edgelist(g).split("\n")[:-1]
+    # Repeats weighted up: a repeat needs an edge, and many drawn graphs have few.
+    kinds = ["loop", "unknown", "tokens", "blank", "comment"] + (["repeat"] * 3 if g.edges else [])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment" and draw(st.booleans()):
+            lines[draw(st.integers(0, len(lines) - 1))] += " # a b"
+            continue
+        if kind == "repeat":
+            x, y = draw(st.sampled_from(sorted(g.edges)))
+            line = draw(st.sampled_from([f"{x} {y}", f"{y} {x}"]))
+        elif kind == "loop":
+            v = draw(known)
+            line = f"{v} {v}"
+        elif kind == "unknown":
+            v = draw(known)
+            line = draw(st.sampled_from([f"{v} {stranger}", f"{stranger} {v}"]))
+        elif kind == "tokens":
+            size = draw(st.sampled_from([1, 3]))
+            line = " ".join(draw(st.lists(known, min_size=size, max_size=size)))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t\x0b "]))
+        else:
+            line = "# a b"
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    return g, newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 @st.composite
@@ -162,6 +203,20 @@ class TestEdgeListProperties:
         for v, nbrs in adj.items():
             assert v not in nbrs
             assert all(v in adj[u] for u in nbrs)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(faulty_edgelists())
+    def test_agrees_with_the_oracle(self, case):
+        # The parser raises exactly the oracle's first fault, or reads the
+        # graph of the oracle's pairs.
+        g, text = case
+        expected = edgelist_oracle(text)
+        if isinstance(expected, tuple):
+            with pytest.raises(ParseError) as err:
+                parse_edgelist(text)
+            assert (err.value.message, err.value.line) == expected
+        else:
+            assert parse_edgelist(text) == SimpleGraph.build(g.vertices, expected)
 
 
 def unwritable(names, stops):
