@@ -10,9 +10,11 @@ set of pair tuples, a map from each vertex to a frozenset (its
 neighbours, ``SimpleGraph.adjacency``, or the heads of its out-arcs,
 ``DirectedGraph.successors``), or both, and derives either form from the
 other on first read.  Built and parsed graphs hold the sets, frozen in
-place from their builder's lists or sets, so no second copy is alive.  A
-Fitch graph holds the chain of its tree's 0-components instead, parents
-first, each with its parent and its member names, in O(V + components):
+place from their builder's lists or sets, so no second copy is alive,
+and equal sets are one object (:func:`_freeze`): a complete multipartite
+graph with k parts holds k sets.  A Fitch graph holds the chain of its
+tree's 0-components instead, parents first, each with its parent and its
+member names, in O(V + components):
 an entry's members reach every vertex except the members of the entries
 on their path to the root (:func:`complete_multipartite` hangs every
 block from the root).  One fold over the chain, each entry's value its
@@ -49,10 +51,16 @@ def _cut(above: list[str], members: Collection[str]) -> list[str]:
 
 
 def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
-    """Replace each value of *sets* in place by its frozenset; a value that
-    is already a frozenset stays the same object, so shared sets stay shared."""
+    """Replace each value of *sets* in place by its frozenset, then by the
+    first equal frozenset already stored, so equal sets become one object.
+    Every value is still frozen from its own items, so a list's repeats
+    still shrink its set, and a value that is already a frozenset may be
+    swapped for an equal earlier one.  Each set is hashed here once; later
+    lookups find the hash cached and, for equal sets, the same object."""
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for v, ys in sets.items():
-        sets[v] = frozenset(ys)
+        fs = frozenset(ys)
+        sets[v] = shared.setdefault(fs, fs)
     return sets
 
 
@@ -81,7 +89,8 @@ class _Graph:
         """A graph stored as *sets*, which must be free of self-loops, keyed
         by exactly *vertices* and, for a :class:`SimpleGraph`, symmetric;
         nothing checks that.  Takes ownership of *sets* and freezes its
-        values in place, freeing each list or set once its frozenset exists.
+        values in place, freeing each list or set once its frozenset exists;
+        equal values become one frozenset.
         """
         g = object.__new__(cls)
         g.__dict__.update({"vertices": vertices, cls._sets: _freeze(sets)})

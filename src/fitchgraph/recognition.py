@@ -75,8 +75,11 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     neighborhoods coincide; adjacent vertices can never share one, since a
     shared neighborhood would make them self-adjacent).  Grouping keys are
     the neighborhood sets themselves, so hash collisions fall back to set
-    equality and the grouping is exact.  All within-group pairs are
-    therefore non-edges, and *g* is complete multipartite iff the edge
+    equality and the grouping is exact.  Equal sets are one object and a
+    frozenset caches its hash, so grouping is O(|V|) once each distinct set
+    is hashed, which the freeze of a built or parsed graph has already
+    done (see :func:`fitchgraph.graphs._freeze`).  All within-group pairs
+    are therefore non-edges, and *g* is complete multipartite iff the edge
     count reaches the cross-group maximum sum(n_i * n_j).
 
     On failure returns the lexicographically smallest witness triple.

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from fitchgraph.enumeration import all_graphs, graph_line
-from fitchgraph.fitch import directed_fitch, explains, undirected_fitch
+from fitchgraph.fitch import directed_fitch, explains, underlying_undirected, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
     parse_edgelist,
@@ -165,7 +165,13 @@ def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):
 
     names = [f"v{i}" for i in range(10)]
     blocks = [names[:4], names[4:7], names[7:]]
-    graphs = [complete_multipartite(blocks)]
+    chained = complete_multipartite(blocks)
+    # The same 3-part graph held as sets: built from shuffled pairs, and
+    # parsed back from its edge list.
+    pairs = sorted(chained.edges)
+    rng.shuffle(pairs)
+    parts = [chained, SimpleGraph.build(names, pairs), parse_edgelist(serialize_edgelist(chained))]
+    graphs = list(parts)
     for _ in range(10):
         g = random_graph(rng, names, 0.4)
         graphs += [
@@ -174,12 +180,18 @@ def test_every_neighbour_set_is_frozen_and_blocks_share_one(rng):
             g.induced(names[::2]),
             g.complement(),
             SimpleGraph(g.vertices, g.edges),
+            underlying_undirected(DirectedGraph(g.vertices, g.edges)),
         ]
     for h in graphs:
         assert all(type(nbrs) is frozenset for nbrs in h.adjacency.values())
-    adj = graphs[0].adjacency
-    for block in blocks:
-        assert all(adj[v] is adj[block[0]] for v in block)
+        # One object per distinct neighbour set.
+        assert len({id(s) for s in h.adjacency.values()}) == len(set(h.adjacency.values()))
+    for h in parts:
+        assert h == chained
+        adj = h.adjacency
+        assert len({id(s) for s in adj.values()}) == len(blocks)
+        for block in blocks:
+            assert all(adj[v] is adj[block[0]] for v in block)
 
 
 def test_digraph_successor_and_arc_forms_agree():
@@ -198,6 +210,9 @@ def test_digraph_successor_and_arc_forms_agree():
             built = DirectedGraph.build(verts, (p for p in pairs))
             assert "arcs" not in built.__dict__
             assert built.successors == constructed.successors
+            for d in (constructed, built):  # one object per distinct successor set
+                succ = d.successors.values()
+                assert len({id(ys) for ys in succ}) == len(set(succ))
             assert built == constructed and constructed == built
             assert hash(built) == hash(constructed)
             assert {built} == {constructed}

@@ -345,6 +345,9 @@ class TestEdgeList:
             ("vertices: a b\nx y\n", "unknown endpoint 'x'", 2),
             ("vertices: a b\na y\n", "unknown endpoint 'y'", 2),
             ("vertices:\ta b\n   \n\t\na\tb\n\t \nb\ta\n", "duplicate edge b a", 6),
+            # a and b share one neighbour set, and d's repeat still shrinks
+            # its own set, so the degree sum sees the duplicate
+            ("vertices: a b c d\na c\na d\nb c\nb d\nd a\n", "duplicate edge d a", 6),
             ("# one\n  # two\nvertices: a b # c\na c\n", "unknown endpoint 'c'", 4),
             ("vertices: a b #\n#\na#b\n", "expected two endpoint names", 3),
             ("vertices: a b\ra b\r\ra a\r", "self-loop at 'a'", 4),
