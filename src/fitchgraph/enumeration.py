@@ -157,7 +157,7 @@ def all_graphs(names: Sequence[str]) -> Iterator[SimpleGraph]:
     verts = frozenset(names)
     pairs = [tuple(sorted(p)) for p in combinations(sorted(names), 2)]
     for bits in product((False, True), repeat=len(pairs)):
-        yield SimpleGraph(verts, frozenset(p for p, b in zip(pairs, bits) if b))
+        yield SimpleGraph(verts, [p for p, b in zip(pairs, bits) if b])
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,12 @@ are normalized (min, max) name pairs, arcs are ordered pairs.  Both types
 are immutable and hashable, so sets of graphs work as expected -- the
 exhaustive enumeration machinery relies on that.
 
-How a graph is stored is known to this module alone.  A graph holds a
-set of pair tuples, a map from each vertex to a frozenset (its
-neighbours, ``SimpleGraph.adjacency``, or the heads of its out-arcs,
-``DirectedGraph.successors``), or both, and derives either form from the
-other on first read.  Built and parsed graphs hold the sets, frozen in
-place from their builder's lists or sets, so no second copy is alive,
-and equal sets are one object (:func:`_freeze`): a complete multipartite
+How a graph is stored is known to this module alone.  A graph holds
+one of two forms.  Constructed and parsed graphs hold a map from each
+vertex to a frozenset (its neighbours, ``SimpleGraph.adjacency``, or the
+heads of its out-arcs, ``DirectedGraph.successors``), frozen in place
+from their builder's lists or sets, so no second copy is alive, and
+equal sets are one object (:func:`_freeze`): a complete multipartite
 graph with k parts holds k sets.  A Fitch graph holds the chain of its
 tree's 0-components instead, parents first, each with its parent and its
 member names, in O(V + components):
@@ -22,8 +21,8 @@ parent's less its members, gives both the sets (one frozenset per entry,
 built only when the sets, the pairs, ``==`` or the hash is read) and the
 sorted rows every renderer reads, each entry's list cut out of its
 parent's by bisection in O(V log V + output).  Equality and hashing
-compare the sets and never build pair tuples, so the tuples are made
-only when something reads ``.edges`` or ``.arcs``.
+compare the sets and never build pair tuples, so the tuples are made,
+from the sets, only when something reads ``.edges`` or ``.arcs``.
 """
 
 from __future__ import annotations
@@ -65,24 +64,19 @@ def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
 
 
 class _Graph:
-    """Vertices plus a pair set (attribute ``_pairs``), a name -> frozenset
-    map (attribute ``_sets``) or a chain (``_chain``, else None).
+    """Vertices plus a name -> frozenset map (attribute ``_sets``) or a
+    chain (``_chain``, else None); ``_pairs`` names the derived pair set.
 
     Immutable: assignment and deletion raise, though a ``cached_property``
     still fills its slot in the instance ``__dict__`` on first read.  Two
     graphs are equal when they are of the same class and have equal set
-    maps, and the hash is that of the map's items.  The pair constructor
-    trusts its input, so a pair naming a non-vertex raises on ``==`` and
-    ``hash``, as it does when the sets are read.
+    maps, and the hash is that of the map's items.
     """
 
     vertices: frozenset[str]
     _pairs: str
     _sets: str
     _chain: Chain | None = None
-
-    def __init__(self, vertices: frozenset[str], pairs: frozenset[tuple[str, str]]):
-        self.__dict__.update({"vertices": vertices, self._pairs: pairs})
 
     @classmethod
     def _from_sets(cls, vertices: frozenset[str], sets: dict[str, Iterable[str]]):
@@ -159,15 +153,15 @@ class _Graph:
 class SimpleGraph(_Graph):
     """An undirected simple graph: no self-loops, no parallel edges.
 
-    ``SimpleGraph(vertices, edges)`` takes normalized (min, max) pairs.
-    Equality follows the neighbour sets, so an unnormalized edge compares
-    equal to its normalized twin.
+    ``SimpleGraph(vertices, edges)`` takes pairs in either order, and a
+    repeated edge counts once.  It raises ``ValueError`` on the first
+    self-loop or endpoint that is not a vertex, and stores only the
+    neighbour sets, so ``edges`` holds (min, max) pairs derived from them.
     """
 
     _pairs, _sets = "edges", "adjacency"
 
-    @staticmethod
-    def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         verts = frozenset(vertices)
         adj: dict[str, list[str]] = {v: [] for v in verts}
         for x, y in edges:
@@ -179,17 +173,15 @@ class SimpleGraph(_Graph):
             except KeyError:
                 missing = x if x not in verts else y
                 raise ValueError(f"edge endpoint {missing!r} is not a vertex") from None
-        return SimpleGraph._from_sets(verts, adj)
+        self.__dict__.update(vertices=verts, adjacency=_freeze(adj))
+
+    @staticmethod
+    def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
+        return SimpleGraph(vertices, edges)
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
-        if self._chain is not None:
-            return self._fold(self.vertices, frozenset.difference)
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for x, y in self.edges:
-            adj[x].append(y)
-            adj[y].append(x)
-        return _freeze(adj)
+        return self._fold(self.vertices, frozenset.difference)
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -221,14 +213,15 @@ class SimpleGraph(_Graph):
 class DirectedGraph(_Graph):
     """A digraph: ordered arcs, no self-loops.
 
-    ``DirectedGraph(vertices, arcs)`` takes ordered pairs; equality
-    follows the successor sets, so it sees arc direction.
+    ``DirectedGraph(vertices, arcs)`` takes ordered pairs, and a repeated
+    arc counts once.  It raises ``ValueError`` on the first self-loop or
+    endpoint that is not a vertex, and stores only the successor sets;
+    equality follows them, so it sees arc direction.
     """
 
     _pairs, _sets = "arcs", "successors"
 
-    @staticmethod
-    def build(vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "DirectedGraph":
+    def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]):
         verts = frozenset(vertices)
         succ: dict[str, list[str]] = {v: [] for v in verts}
         for x, y in arcs:
@@ -238,16 +231,15 @@ class DirectedGraph(_Graph):
                 missing = x if x not in verts else y
                 raise ValueError(f"arc endpoint {missing!r} is not a vertex")
             succ[x].append(y)
-        return DirectedGraph._from_sets(verts, succ)
+        self.__dict__.update(vertices=verts, successors=_freeze(succ))
+
+    @staticmethod
+    def build(vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "DirectedGraph":
+        return DirectedGraph(vertices, arcs)
 
     @cached_property
     def successors(self) -> dict[str, frozenset[str]]:
-        if self._chain is not None:
-            return self._fold(self.vertices, frozenset.difference)
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for x, y in self.arcs:
-            succ[x].append(y)
-        return _freeze(succ)
+        return self._fold(self.vertices, frozenset.difference)
 
     @cached_property
     def arcs(self) -> frozenset[tuple[str, str]]:

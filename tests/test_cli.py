@@ -286,6 +286,11 @@ class TestUsage:
         code, _, _ = run()
         assert code == 2
 
+    def test_help_exits_zero(self, run):
+        code, out, _ = run("--help")
+        assert code == 0
+        assert out.startswith("usage:")
+
     def test_unknown_command(self, run):
         code, _, _ = run("frobnicate")
         assert code == 2

@@ -112,6 +112,10 @@ class TestEnumerateTrees:
         trees = enumerate_trees(3, ["x", "y", "z"])
         assert trees[0].leaf_name_set == frozenset({"x", "y", "z"})
 
+    def test_repeated_names_rejected(self):
+        with pytest.raises(ValueError, match="^need exactly n distinct leaf names$"):
+            enumerate_trees(3, ["a", "a", "b"])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_trees_as_insertion_anew(self, n):
         # same ids, edges and leaf map, in the same order

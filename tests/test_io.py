@@ -348,6 +348,11 @@ class TestEdgeList:
             # a and b share one neighbour set, and d's repeat still shrinks
             # its own set, so the degree sum sees the duplicate
             ("vertices: a b c d\na c\na d\nb c\nb d\nd a\n", "duplicate edge d a", 6),
+            # b's list (p x x) and x's (q b c b) each have the size of an
+            # earlier set that holds their names, q's and p's: a freeze that
+            # reused such a set would hide the repeat from the degree sum
+            ("vertices: p q b x c d y\np b\np c\np d\np q\nq x\nq y\nx b\nx c\nb x\n",
+             "duplicate edge b x", 10),
             ("# one\n  # two\nvertices: a b # c\na c\n", "unknown endpoint 'c'", 4),
             ("vertices: a b #\n#\na#b\n", "expected two endpoint names", 3),
             ("vertices: a b\ra b\r\ra a\r", "self-loop at 'a'", 4),

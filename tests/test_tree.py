@@ -55,6 +55,31 @@ class TestValidate:
             [(0, 1, 0), (0, 2, 0), (0, 3, 0)], {1: "x", 2: "x", 3: "y"}
         )
         assert "duplicate leaf name" in validate(t)
+        # The message names the repeated name, not the first one.
+        t = LabeledTree.build(
+            [(0, 1, 0), (0, 2, 0), (0, 3, 0)], {1: "y", 2: "x", 3: "x"}
+        )
+        assert validate(t) == "duplicate leaf name 'x'"
+
+    def test_edge_not_normalized(self):
+        t = LabeledTree(frozenset({0, 1}), {(1, 0): 0}, {0: "a", 1: "b"})
+        assert validate(t) == "edge (1, 0) is not normalized"
+
+    def test_edge_with_one_endpoint_outside(self):
+        t = LabeledTree(
+            frozenset({0, 1, 2}), {(0, 1): 0, (1, 5): 0}, {0: "a", 2: "b"}
+        )
+        assert validate(t) == "edge (1, 5) endpoint is not a vertex"
+
+    def test_leaf_name_on_unknown_vertex(self):
+        t = LabeledTree(
+            frozenset({0, 1}), {(0, 1): 0}, {0: "a", 1: "b", 9: "c"}
+        )
+        assert validate(t) == "leaf name 'c' on unknown vertex 9"
+
+    def test_empty_leaf_name(self):
+        t = LabeledTree.build([(0, 1, 0)], {0: "a", 1: ""})
+        assert validate(t) == "empty leaf name on vertex 1"
 
     def test_cycle(self):
         t = LabeledTree.build(
@@ -183,6 +208,9 @@ class TestReroot:
         )
         with pytest.raises(ValueError, match="leaf root not allowed"):
             reroot(star, 1)
+        path = LabeledTree.build([(0, 1, 0), (1, 2, 0)], {0: "a", 2: "b"})
+        with pytest.raises(ValueError, match="leaf root not allowed"):
+            reroot(path, 0)
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError, match="not a vertex"):
@@ -227,6 +255,16 @@ class TestContractEdge:
     def test_leaf_set_preserved(self):
         t = contract_edge(t21(), (0, 1))
         assert set(t.leaf_names.values()) == {"a", "b", "c"}
+
+    def test_root_follows_the_merge(self):
+        # Inner path 0 - 1 - 6; contracting (0, 1) keeps 0 and removes 1.
+        t = LabeledTree.build(
+            [(0, 1, 1), (1, 6, 0), (0, 2, 0), (0, 3, 0), (1, 4, 0), (6, 5, 0), (6, 7, 0)],
+            {2: "a", 3: "b", 4: "c", 5: "d", 7: "e"},
+        )
+        assert contract_edge(reroot(t, 1), (0, 1)).root == 0
+        assert contract_edge(reroot(t, 6), (0, 1)).root == 6
+        assert contract_edge(t, (0, 1)).root is None
 
 
 class TestPathLabelOr:
