@@ -17,11 +17,9 @@ so one forced labeling per topology decides whether it can explain g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from string import ascii_lowercase
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .fitch import explains, undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
@@ -30,6 +28,7 @@ from .tree import Edge, LabeledTree, edge_key
 
 MAX_TOPOLOGY_LEAVES = 6
 MAX_REALIZABLE_LEAVES = 5
+ascii_lowercase = "abcdefghijklmnopqrstuvwxyz"  # as in string, which a fresh CLI call need not import
 
 
 def bell_number(n: int) -> int:
@@ -115,8 +114,7 @@ def edge_labelings(tree: LabeledTree) -> Iterator[LabeledTree]:
         yield LabeledTree(tree.vertices, labels, dict(tree.leaf_names), tree.root)
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Outcome of sweeping all (topology, labeling) pairs on n leaves."""
 
     leaf_count: int
@@ -160,8 +158,7 @@ def all_graphs(names: Sequence[str]) -> Iterator[SimpleGraph]:
         yield SimpleGraph(verts, [p for p, b in zip(pairs, bits) if b])
 
 
-@dataclass(frozen=True)
-class CharacterizationFailure:
+class CharacterizationFailure(NamedTuple):
     graph: SimpleGraph
     realizable: bool
     accepted: bool

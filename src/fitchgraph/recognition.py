@@ -12,14 +12,12 @@ independent oracle for the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .graphs import SimpleGraph, disjoint_blocks
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint vertex blocks in canonical order.
 
     Canonical order is by decreasing block size, ties broken by the
@@ -47,8 +45,7 @@ class Partition:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """Three vertices inducing an isolated vertex plus an edge.
 
     *pair* is an edge of the witnessed graph and *isolated* is adjacent to

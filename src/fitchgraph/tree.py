@@ -13,9 +13,8 @@ leaves speaks names, not ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -25,8 +24,7 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A depth-first walk of a tree (see :attr:`LabeledTree.walk`).
 
     Fields
@@ -67,7 +65,6 @@ def _walk(adjacency: Mapping[int, Mapping[int, int]], start: int) -> Walk:
     return Walk(order, parent, top)
 
 
-@dataclass(frozen=True)
 class LabeledTree:
     """A tree with {0,1} edge labels, named leaves, and an optional root.
 
@@ -79,15 +76,43 @@ class LabeledTree:
     leaf_names  : map from leaf vertex id to its unique name
     root        : a vertex id, or None for an unrooted tree
 
-    Instances are immutable; derived structure (adjacency, walk) is
-    cached on first use.  Use :func:`validate` to check the invariants of
-    a tree assembled by hand.
+    Instances are immutable: assignment and deletion raise, though
+    derived structure (adjacency, walk) is cached in the instance
+    ``__dict__`` on first use.  Two trees are equal when they are of the
+    same class and their four fields are equal; the maps make a tree
+    unhashable.  Use :func:`validate` to check the invariants of a tree
+    assembled by hand.
     """
 
     vertices: frozenset[int]
     edge_labels: Mapping[Edge, int]
     leaf_names: Mapping[int, str]
-    root: int | None = None
+    root: int | None
+
+    def __init__(self, vertices: frozenset[int], edge_labels: Mapping[Edge, int],
+                 leaf_names: Mapping[int, str], root: int | None = None) -> None:
+        self.__dict__.update(vertices=vertices, edge_labels=edge_labels, leaf_names=leaf_names, root=root)
+
+    def _key(self) -> tuple:
+        return self.vertices, self.edge_labels, self.leaf_names, self.root
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(vertices={self.vertices!r}, edge_labels={self.edge_labels!r}, "
+                f"leaf_names={self.leaf_names!r}, root={self.root!r})")
 
     @staticmethod
     def build(
@@ -266,7 +291,7 @@ def reroot(tree: LabeledTree, v: int) -> LabeledTree:
         raise ValueError(f"root {v} is not a vertex")
     if len(tree.vertices) >= 3 and tree.is_leaf(v):
         raise ValueError("leaf root not allowed")
-    return replace(tree, root=v)
+    return LabeledTree(tree.vertices, tree.edge_labels, tree.leaf_names, v)
 
 
 def contract_edge(tree: LabeledTree, e: tuple[int, int]) -> LabeledTree:

@@ -1,7 +1,9 @@
 """Tests for the fitchgraph command-line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +323,24 @@ def test_setup_call_leaves_numpy_unimported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("leaves: 2\n")
+
+
+def test_setup_call_imports_no_dataclasses():
+    # A fresh CLI call pays for every module the package imports, so the
+    # package keeps dataclasses (which pulls in inspect) and string out.
+    # -S and an emptied PYTHONPATH leave src as the only added path, so no
+    # site hook can load them first.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fitchgraph.cli as c; "
+        "code = c.main(['enumerate', '2']); "
+        "print(sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules))); sys.exit(code)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("leaves: 2\n")
+    assert proc.stdout.endswith("\n[]\n")
 
 
 def test_installed_entry_point(tmp_path):

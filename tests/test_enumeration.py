@@ -6,6 +6,8 @@ from string import ascii_lowercase
 import pytest
 
 from fitchgraph.enumeration import (
+    CharacterizationFailure,
+    EnumerationReport,
     all_graphs,
     bell_number,
     edge_labelings,
@@ -148,6 +150,20 @@ class TestRealizableGraphs:
         report = realizable_graphs(2)
         assert report.topology_count == 1
         assert len(report.realizable_graphs) == 2 == report.expected_count
+        again = realizable_graphs(2)
+        assert report == again and hash(report) == hash(again)
+        g = SimpleGraph.build("ab", [])
+        one = EnumerationReport(2, 1, 2, frozenset({g}), 2)
+        assert repr(one) == (
+            "EnumerationReport(leaf_count=2, topology_count=1, labeling_count=2, "
+            f"realizable_graphs=frozenset({{{g!r}}}), expected_count=2)"
+        )
+        assert one != report and not one.counts_match and report.counts_match
+        for attr in ("leaf_count", "realizable_graphs"):
+            with pytest.raises(AttributeError):
+                setattr(report, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(report, attr)
 
     def test_n3_classes(self):
         report = realizable_graphs(3)
@@ -176,6 +192,18 @@ class TestCharacterization:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_passes(self, n):
         assert verify_characterization(n) is None
+
+    def test_failure_record(self):
+        g = SimpleGraph.build("ab", [("a", "b")])
+        failure = CharacterizationFailure(g, True, False)
+        assert repr(failure) == f"CharacterizationFailure(graph={g!r}, realizable=True, accepted=False)"
+        twin = CharacterizationFailure(SimpleGraph.build("ab", [("b", "a")]), True, False)
+        assert failure == twin and hash(failure) == hash(twin)
+        assert failure != CharacterizationFailure(g, False, True)
+        with pytest.raises(AttributeError):
+            failure.accepted = True
+        with pytest.raises(AttributeError):
+            del failure.graph
 
 
 class TestMinimumTreeSize:

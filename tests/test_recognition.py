@@ -98,6 +98,24 @@ class TestVerdicts:
             impl(SimpleGraph(frozenset(), frozenset()))
 
 
+def test_results_are_frozen_values():
+    p = Partition.canonical([{"b"}, {"c", "a"}])
+    w = ForbiddenWitness.make("a", "c", "b")
+    assert repr(p) == f"Partition(blocks=({p.blocks[0]!r}, frozenset({{'b'}})))"
+    assert repr(w) == "ForbiddenWitness(isolated='a', pair=('b', 'c'))"
+    q = Partition.canonical([["a", "c"], "b"])
+    assert p == q and hash(p) == hash(q) and {p, q} == {p}
+    assert w == ForbiddenWitness("a", ("b", "c")) and hash(w) == hash(ForbiddenWitness("a", ("b", "c")))
+    assert p != w and w != p
+    assert Partition.canonical(["a"]) != ForbiddenWitness.make("a", "b", "c")
+    for value, attr in ((p, "blocks"), (w, "isolated"), (w, "pair")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert p.sizes == (2, 1) and w.pair == ("b", "c")
+
+
 class TestAgreement:
     def test_exhaustive_small(self):
         # Every labeled graph on up to 5 vertices; all three routes must agree.

@@ -36,6 +36,28 @@ def t21() -> LabeledTree:
     )
 
 
+def test_value_semantics():
+    t = LabeledTree.build([(0, 1, 0)], {0: "a", 1: "b"})
+    assert repr(t) == (
+        "LabeledTree(vertices=frozenset({0, 1}), edge_labels={(0, 1): 0}, "
+        "leaf_names={0: 'a', 1: 'b'}, root=None)"
+    )
+    # Equality reads the four fields only, not a cached walk.
+    assert t == LabeledTree(frozenset({1, 0}), {(0, 1): 0}, {1: "b", 0: "a"})
+    assert t.walk and t == LabeledTree.build([(1, 0, 0)], {0: "a", 1: "b"}, None)
+    assert LabeledTree.single("a") == LabeledTree(frozenset({0}), {}, {0: "a"}, 0)
+    assert LabeledTree.single("a") != LabeledTree(frozenset({0}), {}, {0: "a"})
+    assert t != (t.vertices, t.edge_labels, t.leaf_names, t.root)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(t)  # the field tuple holds dicts
+    for attr in ("root", "vertices", "walk", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(t, attr)
+    assert t.root is None and t.vertices == frozenset({0, 1})
+
+
 class TestValidate:
     def test_minimal_valid_tree(self):
         t = LabeledTree.build([(0, 1, 0)], {0: "a", 1: "b"})
@@ -198,6 +220,7 @@ class TestReroot:
         t = reroot(t21(), 1)
         assert t.root == 1
         assert t.edge_labels == t21().edge_labels
+        assert t != t21() and t21() != t
 
     def test_reroot_identity(self):
         assert reroot(t21(), 0) == t21()
