@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from . import enumeration, io
 from .fitch import directed_fitch, explains, undirected_fitch
@@ -40,11 +41,6 @@ def _load_graph(path: str) -> SimpleGraph:
     return io.parse_edgelist(text)
 
 
-def _format_witness(w: ForbiddenWitness) -> str:
-    x, y = w.pair
-    return f"witness: {w.isolated} | {x}--{y}"
-
-
 def _format_partition(p: Partition) -> str:
     blocks = " ".join("{" + ",".join(sorted(b)) + "}" for b in p.blocks)
     return f"blocks: {blocks}"
@@ -59,23 +55,24 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_recognize(args: argparse.Namespace) -> int:
-    result = recognize(_load_graph(args.graph))
+def _answer(result: object, render: Callable[[object], str]) -> int:
+    """Print a ForbiddenWitness *result* as its witness line and return 1,
+    or print ``render(result)`` and return 0."""
     if isinstance(result, ForbiddenWitness):
-        print(_format_witness(result))
+        x, y = result.pair
+        print(f"witness: {result.isolated} | {x}--{y}")
         return 1
-    print(_format_partition(result))
+    print(render(result))
     return 0
+
+
+def cmd_recognize(args: argparse.Namespace) -> int:
+    return _answer(recognize(_load_graph(args.graph)), _format_partition)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     mode = "minimal" if args.minimal else "canonical"
-    result = explain(_load_graph(args.graph), mode=mode)
-    if isinstance(result, ForbiddenWitness):
-        print(_format_witness(result))
-        return 1
-    print(io.serialize_newick(result))
-    return 0
+    return _answer(explain(_load_graph(args.graph), mode=mode), io.serialize_newick)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

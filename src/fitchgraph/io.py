@@ -11,7 +11,9 @@ ValueError on a name that their format's parser would not read back.
 
 Newick is split into tokens (``( ) : , ;`` and the runs between them) in
 one regular-expression pass; one recursive descent over the tokens builds
-the tree, and offsets are recovered only for an error.  The descent takes
+the tree, and offsets are recovered only for an error.  Whether the root
+is a leaf (a group with one child) is decided once, after the descent,
+from the last edge it stored.  The descent takes
 one call per nesting level, so input nested beyond Python's recursion
 limit (about 1,000 levels) raises ``RecursionError``, a known defect.
 
@@ -71,13 +73,13 @@ def _check_names(names: Collection[str], stops: str) -> None:
 
 
 def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, int],
-             leaves: dict[str, int]) -> tuple[int, int, str | None]:
+             leaves: dict[str, int]) -> tuple[int, int]:
     """Read the subtree that starts at token *i*, giving ids in preorder.
 
-    Returns the index after it, its vertex, and, for a group with one
-    child, the name after its ``)`` ('' if none), else None: that name
-    names the group only when the group is the root, a leaf of the tree.
-    Raises ParseError with a token index as its position.
+    Returns the index after it and its vertex.  A name after a group's
+    ``)`` is skipped: it names an inner vertex, unless the group is a root
+    with one child, which :func:`parse_newick` decides once the descent is
+    over.  Raises ParseError with a token index as its position.
     """
     node = next(ids)
     if tokens[i] != "(":
@@ -87,27 +89,21 @@ def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, i
         if name in leaves:
             raise ParseError(f"duplicate leaf name {name!r}", i)
         leaves[name] = node
-        return i + 1, node, None
-    children = 0
+        return i + 1, node
     while True:
-        # a name after a group child's ')' names an inner vertex: ignored
-        i, child, _ = _subtree(tokens, i + 1, ids, labels, leaves)
+        i, child = _subtree(tokens, i + 1, ids, labels, leaves)
         if tokens[i] != ":":
             raise ParseError("missing edge label (expected ':0' or ':1')", i)
         label = tokens[i + 1]
         if label not in ("0", "1"):
             raise ParseError("edge label must be 0 or 1", i + 1)
         labels[node, child] = int(label)
-        children += 1
         i += 2
         if tokens[i] != ",":
             break
     if tokens[i] != ")":
         raise ParseError("expected ',' or ')'", i)
-    name = tokens[i + 1]
-    if name in _NAME_STOP:
-        return i + 1, node, "" if children == 1 else None
-    return i + 2, node, name if children == 1 else None
+    return i + 1 + (tokens[i + 1] not in _NAME_STOP), node
 
 
 def parse_newick(text: str) -> LabeledTree:
@@ -115,11 +111,10 @@ def parse_newick(text: str) -> LabeledTree:
     text = _normalize(text)
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
-    ids = count()
     labels: dict[Edge, int] = {}
     leaves: dict[str, int] = {}
     try:
-        i, root, root_name = _subtree(tokens, 0, ids, labels, leaves)
+        i = _subtree(tokens, 0, count(), labels, leaves)[0]
         if tokens[i] != ";":
             raise ParseError("expected ';'", i)
         if tokens[i + 1]:
@@ -127,12 +122,15 @@ def parse_newick(text: str) -> LabeledTree:
     except ParseError as exc:
         at = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
         raise ParseError(exc.message, at.start() if at else len(text)) from None
-    if root_name is not None:  # the root has one child, so it is a leaf
-        if not root_name:
+    # The root 0 stores its edge to each child after that child's subtree,
+    # so it has one child, and is a leaf, iff the last edge stored is (0, 1).
+    if next(reversed(labels), None) == (0, 1):
+        root_name = tokens[i - 1]  # the token before ';'
+        if root_name == ")":
             raise ParseError("root with a single child needs a name", pos=0)
         if root_name in leaves:
             raise ParseError(f"duplicate leaf name {root_name!r}", pos=len(text))
-        leaves[root_name] = root
+        leaves[root_name] = 0
     # Valid by construction, so validate() is not called: ids run 0..n-1
     # in preorder from the root, every edge is (parent, child) = (min, max)
     # with a 0/1 label, and every leaf carries a unique non-empty name.

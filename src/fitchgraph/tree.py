@@ -239,13 +239,6 @@ def validate(tree: LabeledTree) -> str | None:
     return None
 
 
-def require_valid(tree: LabeledTree) -> None:
-    """Raise ValueError if *tree* violates an invariant."""
-    problem = validate(tree)
-    if problem is not None:
-        raise ValueError(f"invalid tree: {problem}")
-
-
 def suppress_degree2(tree: LabeledTree) -> LabeledTree:
     """Remove every unnamed degree-2 vertex.
 
@@ -304,10 +297,9 @@ def contract_edge(tree: LabeledTree, e: tuple[int, int]) -> LabeledTree:
     key = edge_key(*e)
     if key not in tree.edge_labels:
         raise ValueError(f"no edge {key} in tree")
-    u, v = key
-    if tree.is_leaf(u) or tree.is_leaf(v):
+    keep, gone = key
+    if tree.is_leaf(keep) or tree.is_leaf(gone):
         raise ValueError("cannot contract leaf edge")
-    keep, gone = (u, v) if u < v else (v, u)
     labels: dict[Edge, int] = {}
     for (a, b), lab in tree.edge_labels.items():
         if (a, b) == key:

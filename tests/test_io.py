@@ -87,6 +87,21 @@ class TestParseNewick:
         t = parse_newick("((a:0,b:0)x:1,c:1)r;")
         assert sorted(t.leaf_names.values()) == ["a", "b", "c"]
 
+    @pytest.mark.parametrize(
+        "text, leaves, written",
+        [
+            ("((a:0,b:0)x:1)r;", ["a", "b", "r"], "((a:0,b:0):1)r;"),  # r a leaf root, x skipped
+            ("(a:0,b:0);", ["a", "b"], "(a:0,b:0)r;"),  # an unnamed inner root
+        ],
+    )
+    def test_root_leaf_iff_one_child(self, text, leaves, written):
+        t = parse_newick(text)
+        assert validate(t) is None
+        assert sorted(t.leaf_names.values()) == leaves
+        assert t.is_leaf(t.root) == ("r" in leaves)
+        assert serialize_newick(t) == written
+        assert parse_newick(written) == t
+
     def test_whitespace_and_crlf_tolerated(self):
         t = parse_newick("( a:0 ,\r\n b:1 )r;\n")
         assert sorted(t.leaf_names.values()) == ["a", "b"]
@@ -164,6 +179,7 @@ class TestParsedWalk:
         "a;", "(a:1)b;", "(a:0)b;", "(a:0,b:1)r;",
         "((a:1,b:1):1,(c:0,(d:1,e:0):0):1)r;",
         "(((a:0,b:1):0,c:1):1,(d:0,e:0):0)r;",
+        "((a:0,b:0)x:1)r;", "(a:0,b:0);",
     ])
     def test_hand_made(self, text):
         t = parse_newick(text)

@@ -137,14 +137,6 @@ class TestValidate:
         t = LabeledTree(frozenset({0}), {(0, 0): 0}, {0: "a"})
         assert "self-loop" in validate(t)
 
-    def test_require_valid_raises(self):
-        from fitchgraph.tree import require_valid
-
-        require_valid(LabeledTree.single("a"))
-        bad = LabeledTree.build([(0, 1, 0), (2, 3, 0)], {0: "a", 1: "b", 2: "c", 3: "d"})
-        with pytest.raises(ValueError, match="invalid tree: not connected"):
-            require_valid(bad)
-
 
 class TestSuppressDegree2:
     def test_or_rule_one(self):
