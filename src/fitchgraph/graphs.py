@@ -18,11 +18,14 @@ an entry's members reach every vertex except the members of the entries
 on their path to the root (:func:`complete_multipartite` hangs every
 block from the root).  One fold over the chain, each entry's value its
 parent's less its members, gives both the sets (one frozenset per entry,
-built only when the sets, the pairs, ``==`` or the hash is read) and the
-sorted rows every renderer reads, each entry's list cut out of its
-parent's by bisection in O(V log V + output).  Equality and hashing
-compare the sets and never build pair tuples, so the tuples are made,
-from the sets, only when something reads ``.edges`` or ``.arcs``.
+built only when the sets, the pairs, ``==`` or the hash is read) and a
+digraph's sorted rows, each entry's list cut out of its parent's by
+bisection in O(V log V + output).  An undirected graph's rows, which keep
+only the names after each vertex, are cut once per row instead, from
+each block's positions in the sorted names, also in O(V log V + output).
+Equality and hashing compare the sets and never build pair tuples, so
+the tuples are made, from the sets, only when something reads ``.edges``
+or ``.arcs``.
 """
 
 from __future__ import annotations
@@ -189,9 +192,22 @@ class SimpleGraph(_Graph):
 
     def _rows(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
         """The rows of :meth:`_Graph._rows`, each keeping only the neighbours
-        after its name, so that each edge is rendered once."""
-        names, rows = super()._rows()
-        return names, [(x, ys[bisect_right(ys, x):]) for x, ys in rows]
+        after its name, so that each edge is rendered once.  A chain's
+        entries all hang from the root, so a member's row is the names
+        between it and the next member of its block, then that member's
+        row: each row is cut once, from its block's last member back."""
+        if self._chain is None:
+            names, rows = super()._rows()
+            return names, [(x, ys[bisect_right(ys, x):]) for x, ys in rows]
+        names = sorted(self.vertices)
+        at = {x: i for i, x in enumerate(names)}
+        lists: dict[str, list[str]] = {}
+        for _, _, members in self._chain:
+            row, end = [], len(names)
+            for p in sorted(map(at.__getitem__, members), reverse=True):
+                row = lists[names[p]] = names[p + 1:end] + row
+                end = p
+        return names, [(x, lists[x]) for x in names]
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]

@@ -9,13 +9,15 @@ and never anything else; serializers emit a canonical form (sorted, LF
 line endings) so output is stable enough for golden files, and raise
 ValueError on a name that their format's parser would not read back.
 
-Newick is split into tokens (``( ) : , ;`` and the runs between them) in
-one regular-expression pass; one recursive descent over the tokens builds
-the tree, and offsets are recovered only for an error.  Whether the root
-is a leaf (a group with one child) is decided once, after the descent,
-from the last edge it stored.  The descent takes
-one call per nesting level, so input nested beyond Python's recursion
-limit (about 1,000 levels) raises ``RecursionError``, a known defect.
+Newick is split into tokens (``( ) : , ;`` and the runs between them) by
+padding each delimiter with spaces and one ``str.split``, and one
+recursive descent over the tokens builds the tree.  Only an error
+recovers an offset, from a regular-expression pass that finds the same
+tokens in the text with CR and CRLF made LF.  Whether the root is a leaf
+(a group with one child) is decided once, after the descent, from the
+last edge it stored.  The descent takes one call per nesting level, so
+input nested beyond Python's recursion limit (about 1,000 levels) raises
+``RecursionError``, a known defect.
 
 An edge list is read in one pass that fills a neighbour list per vertex,
 one dictionary lookup per edge end, and freezes the lists in place.  A
@@ -33,7 +35,9 @@ from typing import Collection, Iterator, NoReturn
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
 
-_TOKEN = re.compile(r"[():,;]|[^\s():,;]+")  # \s is exactly what str.isspace accepts
+# The tokens parse_newick splits out, for error offsets: \s is exactly what
+# str.isspace, and so str.split, accepts.
+_TOKEN = re.compile(r"[():,;]|[^\s():,;]+")
 _LINE = re.compile(r"[^\r\n]+")  # a line's text, between LF, CR or CRLF ends
 _NAME_STOP = {"(", ")", ":", ",", ";", ""}  # tokens that are not names; '' ends the input
 
@@ -72,6 +76,14 @@ def _check_names(names: Collection[str], stops: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _tokens(text: str) -> list[str]:
+    """Each of ``( ) : , ;``, and each run of the other characters that
+    ``str.isspace`` rejects, in order: what ``_TOKEN`` finds."""
+    for c in "():,;":
+        text = text.replace(c, f" {c} ")
+    return text.split()
+
+
 def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, int],
              leaves: dict[str, int]) -> tuple[int, int]:
     """Read the subtree that starts at token *i*, giving ids in preorder.
@@ -108,8 +120,7 @@ def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, i
 
 def parse_newick(text: str) -> LabeledTree:
     """Parse a Newick string into a rooted tree (root = outermost node)."""
-    text = _normalize(text)
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     tokens.append("")  # end of input
     labels: dict[Edge, int] = {}
     leaves: dict[str, int] = {}
@@ -120,6 +131,7 @@ def parse_newick(text: str) -> LabeledTree:
         if tokens[i + 1]:
             raise ParseError("trailing characters after ';'", i + 1)
     except ParseError as exc:
+        text = _normalize(text)
         at = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
         raise ParseError(exc.message, at.start() if at else len(text)) from None
     # The root 0 stores its edge to each child after that child's subtree,
@@ -129,7 +141,7 @@ def parse_newick(text: str) -> LabeledTree:
         if root_name == ")":
             raise ParseError("root with a single child needs a name", pos=0)
         if root_name in leaves:
-            raise ParseError(f"duplicate leaf name {root_name!r}", pos=len(text))
+            raise ParseError(f"duplicate leaf name {root_name!r}", pos=len(_normalize(text)))
         leaves[root_name] = 0
     # Valid by construction, so validate() is not called: ids run 0..n-1
     # in preorder from the root, every edge is (parent, child) = (min, max)

@@ -20,6 +20,8 @@ from fitchgraph.io import (
 from fitchgraph.recognition import Partition, recognize
 from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
 
+from conftest import caterpillar, random_tree
+
 
 def test_built_equals_constructed_on_every_small_graph():
     rng = random.Random(5)
@@ -134,6 +136,27 @@ def test_computed_graphs_render_without_neighbour_sets():
     assert graph_line(g) == graph_line(built)
     assert "adjacency" not in vars(g) and "edges" not in vars(g)
     assert g == built and "adjacency" in vars(g)
+
+
+def undirected_cases():
+    yield from map(parse_newick, ["a;", "((a:0,b:0):0,c:0)r;", "((a:1,b:1):1,(c:1,d:1):1,e:1)r;",
+                                  "((a:0,ab:1):0,(a1:1,b:0):1,aa:0)r;", "((b:0,a1:0):1,(ab:0,a:1):0)r;"])
+    rng = random.Random(24)
+    names = [f"v{i}" for i in range(40)]
+    for n, p_one in [(3, 0.0), (7, 0.3), (12, 0.5), (25, 0.2), (40, 0.7)]:
+        yield random_tree(rng, rng.sample(names, n), p_one)
+        yield caterpillar(rng, rng.sample(names, n), p_one)
+
+
+@pytest.mark.parametrize("tree", list(undirected_cases()))
+def test_computed_rows_match_the_neighbour_sets(tree):
+    # undirected_fitch cuts each row once from its block's positions in the
+    # sorted names; the same edges held as sets are read off the sets.  One
+    # leaf, one block, all singletons, prefix names and random trees.
+    g = undirected_fitch(tree)
+    rendered = serialize_edgelist(g), to_dot(g), graph_line(g)
+    built = SimpleGraph(g.vertices, g.edges)
+    assert rendered == (serialize_edgelist(built), to_dot(built), graph_line(built))
 
 
 def test_computed_digraphs_render_without_successor_sets():

@@ -143,6 +143,8 @@ class TestParseNewick:
             # offsets count the text after CRLF and CR become LF
             ("( a:0 ,\r\n b:7 )r;", "edge label must be 0 or 1", 11),
             ("\t(a:0,\r\n\r\n  b:0)r;\r\n x", "trailing characters after ';'", 18),
+            ("(a:1)\r\na;", "duplicate leaf name 'a'", 8),  # the length after CRLF -> LF
+            ("((a:0,b:2):1,\r\nc:1)r;", "edge label must be 0 or 1", 8),  # in the text, not its tokens
         ],
     )
     def test_error_message_and_position(self, text, message, pos):

@@ -1,6 +1,8 @@
 """Hypothesis properties of edge-list and Newick parsing and serialization."""
 
 import random
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -11,7 +13,10 @@ from fitchgraph.enumeration import graph_line
 from fitchgraph.fitch import directed_fitch, underlying_undirected, undirected_fitch
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
+    _TOKEN,
     ParseError,
+    _normalize,
+    _tokens,
     parse_edgelist,
     parse_newick,
     serialize_arclist,
@@ -44,6 +49,11 @@ ANY_NAMES = st.text(st.sampled_from(list("ab():,;# \t\r\n\x1c\u2003")), max_size
 EDGELIST_TOKENS = ["a", "b", "c", "vertices:", "#", " ", "\t", "\r", "\n", "\x0b"]
 NEWICK_TOKENS = ["(", ")", ":", ",", ";", "0", "1", "a", "b", "r", ":0", ":1",
                  " ", "\t", "\r", "\n", "\x0b", "\u2003"]
+# Delimiters, name characters, line ends, other whitespace (tab, U+001C,
+# U+001F, U+0085, U+00A0, U+3000), and NUL, U+200B and U+FEFF, which are
+# not whitespace.
+TOKENIZER_PIECES = ["(", ")", ":", ",", ";", "0", "1", "a", "b", "\r", "\r\n", "\t", "\x00",
+                    "\x85", "\xa0", "\u200b", "\u3000", "\ufeff", "\x1c", "\x1f"]
 # A leaf is (), a group the tuple of its (child, edge label) pairs.
 SHAPES = st.recursive(
     st.just(()),
@@ -149,7 +159,20 @@ def rooted_trees(draw):
     return parse_newick(serialize_newick(t)) if draw(st.booleans()) else t
 
 
+def test_regex_whitespace_is_str_isspace():
+    # The premise of _tokens: the \s that _TOKEN, and so every error
+    # offset, skips is exactly the whitespace str.split drops.
+    space = re.compile(r"\s").fullmatch
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert bool(space(c)) == c.isspace() == (c.split() == []), hex(ord(c))
+
+
 class TestNewickProperties:
+    @settings(derandomize=True, max_examples=500)
+    @given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=30).map("".join))
+    def test_split_tokens_are_the_regex_tokens(self, text):
+        assert _tokens(text) == _TOKEN.findall(_normalize(text))
+
     @settings(derandomize=True, max_examples=200)
     @given(newick_trees())
     def test_round_trip(self, t):
