@@ -15,8 +15,9 @@ recursive descent over the tokens builds the tree.  Only an error
 recovers an offset, from a regular-expression pass that finds the same
 tokens in the text with CR and CRLF made LF.  Whether the root is a leaf
 (a group with one child) is decided once, after the descent, from the
-last edge it stored.  The descent takes one call per nesting level, so
-input nested beyond Python's recursion limit (about 1,000 levels) raises
+last edge it stored.  The descent takes one call per group and reads
+leaves in place, but still recurses once per nesting level, so input
+nested beyond Python's recursion limit (about 1,000 groups) raises
 ``RecursionError``, a known defect.
 
 An edge list is read in one pass that fills a neighbour list per vertex,
@@ -40,6 +41,7 @@ from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches i
 _TOKEN = re.compile(r"[():,;]|[^\s():,;]+")
 _LINE = re.compile(r"[^\r\n]+")  # a line's text, between LF, CR or CRLF ends
 _NAME_STOP = {"(", ")", ":", ",", ";", ""}  # tokens that are not names; '' ends the input
+_LABEL = {"0": 0, "1": 1}  # edge label token -> label; any other token is an error
 
 
 class ParseError(ValueError):
@@ -86,30 +88,35 @@ def _tokens(text: str) -> list[str]:
 
 def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, int],
              leaves: dict[str, int]) -> tuple[int, int]:
-    """Read the subtree that starts at token *i*, giving ids in preorder.
+    """Read the group whose ``(`` is token *i*, giving ids in preorder.
 
-    Returns the index after it and its vertex.  A name after a group's
-    ``)`` is skipped: it names an inner vertex, unless the group is a root
-    with one child, which :func:`parse_newick` decides once the descent is
-    over.  Raises ParseError with a token index as its position.
+    Returns the index after it and its vertex.  A leaf child is read in
+    place, and only a child group takes a call, so the descent makes one
+    call per group and recurses once per nesting level.  Each edge label
+    is looked up in ``_LABEL``.  A name after a group's ``)`` is skipped:
+    it names an inner vertex, unless the group is a root with one child,
+    which :func:`parse_newick` decides once the descent is over.  Raises
+    ParseError with a token index as its position.
     """
     node = next(ids)
-    if tokens[i] != "(":
-        name = tokens[i]
-        if name in _NAME_STOP:
-            raise ParseError("expected a leaf name or '('", i)
-        if name in leaves:
-            raise ParseError(f"duplicate leaf name {name!r}", i)
-        leaves[name] = node
-        return i + 1, node
     while True:
-        i, child = _subtree(tokens, i + 1, ids, labels, leaves)
+        i += 1
+        name = tokens[i]
+        if name == "(":
+            i, child = _subtree(tokens, i, ids, labels, leaves)
+        else:
+            if name in _NAME_STOP:
+                raise ParseError("expected a leaf name or '('", i)
+            if name in leaves:
+                raise ParseError(f"duplicate leaf name {name!r}", i)
+            child = leaves[name] = next(ids)
+            i += 1
         if tokens[i] != ":":
             raise ParseError("missing edge label (expected ':0' or ':1')", i)
-        label = tokens[i + 1]
-        if label not in ("0", "1"):
+        try:
+            labels[node, child] = _LABEL[tokens[i + 1]]
+        except KeyError:
             raise ParseError("edge label must be 0 or 1", i + 1)
-        labels[node, child] = int(label)
         i += 2
         if tokens[i] != ",":
             break
@@ -125,7 +132,13 @@ def parse_newick(text: str) -> LabeledTree:
     labels: dict[Edge, int] = {}
     leaves: dict[str, int] = {}
     try:
-        i = _subtree(tokens, 0, count(), labels, leaves)[0]
+        if tokens[0] == "(":
+            i = _subtree(tokens, 0, count(), labels, leaves)[0]
+        elif tokens[0] in _NAME_STOP:
+            raise ParseError("expected a leaf name or '('", 0)
+        else:  # a bare leaf root
+            leaves[tokens[0]] = 0
+            i = 1
         if tokens[i] != ";":
             raise ParseError("expected ';'", i)
         if tokens[i + 1]:

@@ -136,6 +136,7 @@ class TestParseNewick:
             ("()r;", "expected a leaf name or '('", 1),
             ("", "expected a leaf name or '('", 0),
             ("  ", "expected a leaf name or '('", 2),
+            (");", "expected a leaf name or '('", 0),  # the root's own token
             ("(x:0,x:1)r;", "duplicate leaf name 'x'", 5),
             ("(a:0)a;", "duplicate leaf name 'a'", 7),  # a root name: at the end
             ("(a:0) a ;", "duplicate leaf name 'a'", 9),
@@ -145,6 +146,13 @@ class TestParseNewick:
             ("\t(a:0,\r\n\r\n  b:0)r;\r\n x", "trailing characters after ';'", 18),
             ("(a:1)\r\na;", "duplicate leaf name 'a'", 8),  # the length after CRLF -> LF
             ("((a:0,b:2):1,\r\nc:1)r;", "edge label must be 0 or 1", 8),  # in the text, not its tokens
+            # a leaf read after a child group, and a child group's own faults
+            ("((a:0,b:0):1,c:2)r;", "edge label must be 0 or 1", 15),
+            ("((a:0,b:0):1,a:0)r;", "duplicate leaf name 'a'", 13),
+            ("(a:0,,b:0)r;", "expected a leaf name or '('", 5),
+            ("(a:0,(b:0,):1)r;", "expected a leaf name or '('", 10),
+            ("(a:0,(b:0,c:0)x:3)r;", "edge label must be 0 or 1", 16),
+            ("((a:0,b:0):1,c:0 d:0)r;", "expected ',' or ')'", 17),
         ],
     )
     def test_error_message_and_position(self, text, message, pos):
