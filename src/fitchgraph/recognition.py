@@ -6,8 +6,8 @@ an edge.  :func:`recognize` decides this (in linear time when it accepts)
 and returns either the partition into maximal independent sets or the
 smallest three-vertex witness of failure.  :func:`recognize_bruteforce`
 reaches the same verdict by evaluating the forbidden-triple predicate
-over all triples (through boolean matrix arithmetic), and serves as the
-independent oracle for the fast path.
+over all triples (through whole-row bitmask arithmetic on Python ints),
+and serves as the independent oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -146,40 +146,38 @@ def _class_witness(g: SimpleGraph, groups: dict[frozenset[str], list[str]]) -> F
 def recognize_bruteforce(g: SimpleGraph) -> RecognitionResult:
     """Same verdict as :func:`recognize`, by exhaustive triple evaluation.
 
-    For every vertex a, counts the edges among the non-neighbors of a; any
-    such edge completes a forbidden triple.  The count for all vertices at
-    once is the diagonal of M A M^T for adjacency matrix A and non-adjacency
-    matrix M.  Acceptance additionally re-verifies the multipartite
-    structure of the derived partition directly against A.
+    Each vertex's row of the adjacency matrix is one int, bit i standing
+    for the i-th name in sorted order, so the rows take n^2 bits.  For
+    every vertex a in name order, an edge between two non-neighbors of a
+    completes a forbidden triple: the first non-neighbor b whose row meets
+    a's non-neighbor mask, with the lowest bit of that meet, is the
+    smallest witness.  Acceptance additionally re-verifies the multipartite
+    structure directly against the rows: vertices with identical rows form
+    a block, and each row must be the complement of its own block.
     """
-    import numpy as np  # only this oracle needs it; importing fitchgraph stays cheap
-
     if not g.vertices:
         raise ValueError("empty graph")
     names = sorted(g.vertices)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    # float64 lets numpy multiply through BLAS; every count is at most
-    # n^2 < 2^53, so the arithmetic stays exact.
-    adj = np.zeros((n, n))
-    nbrs = g.adjacency
-    rows = np.repeat(np.arange(n), [len(nbrs[x]) for x in names])
-    adj[rows, np.array([index[y] for x in names for y in nbrs[x]], dtype=np.intp)] = 1
-    non = 1 - adj - np.eye(n)
-    bad_counts = ((non @ adj) * non).sum(axis=1)
-    if bad_counts.any():
-        a = int(np.argmax(bad_counts > 0))
-        others = np.flatnonzero(non[a])
-        sub = adj[np.ix_(others, others)]
-        j, k = np.argwhere(np.triu(sub, 1))[0]
-        return ForbiddenWitness.make(names[a], names[others[j]], names[others[k]])
-    _, inverse = np.unique(adj, axis=0, return_inverse=True)
-    part = inverse.ravel()
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    adjacency = g.adjacency
+    rows = [sum(map(bit.__getitem__, adjacency[x])) for x in names]
+    full = (1 << len(names)) - 1
+    for a, row in enumerate(rows):
+        non = full ^ row ^ (1 << a)
+        rest = non
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            hit = rows[b] & non
+            if hit:
+                # The other end lies above b: one below b would be a
+                # non-neighbor of a adjacent to b, so it would have hit first.
+                return ForbiddenWitness.make(names[a], names[b], names[(hit & -hit).bit_length() - 1])
+            rest ^= low
     blocks: dict[int, list[str]] = {}
-    for i, name in enumerate(names):
-        blocks.setdefault(int(part[i]), []).append(name)
-    # Self-check: identical-row grouping must reproduce A exactly.
-    expected = (part[:, None] != part[None, :]).astype(np.int64)
-    if not np.array_equal(adj, expected):
+    for name, row in zip(names, rows):
+        blocks.setdefault(row, []).append(name)
+    # Self-check: identical-row grouping must reproduce the rows exactly.
+    if any(row != full ^ sum(map(bit.__getitem__, block)) for row, block in blocks.items()):
         raise AssertionError("triple scan accepted a non-multipartite graph")
     return Partition.canonical(blocks.values())

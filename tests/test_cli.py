@@ -325,6 +325,26 @@ def test_setup_call_leaves_numpy_unimported():
     assert proc.stdout.startswith("leaves: 2\n")
 
 
+def test_runs_with_numpy_blocked(tmp_path):
+    # numpy is only a test dependency: with its import made to fail, the
+    # oracle and the CLI still run.
+    path = tmp_path / "p4.txt"
+    path.write_text("vertices: a b c d\na b\nb c\nc d\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.modules['numpy'] = None; sys.path.insert(0, sys.argv[1])\n"
+        "from fitchgraph.graphs import SimpleGraph\n"
+        "from fitchgraph.recognition import ForbiddenWitness, Partition, recognize_bruteforce\n"
+        "p3 = recognize_bruteforce(SimpleGraph.build('abc', [('a', 'b'), ('b', 'c')]))\n"
+        "assert p3 == Partition.canonical(['ac', 'b']), p3\n"
+        "p4 = recognize_bruteforce(SimpleGraph.build('abcd', [('a', 'b'), ('b', 'c'), ('c', 'd')]))\n"
+        "assert p4 == ForbiddenWitness('a', ('c', 'd')), p4\n"
+        "import fitchgraph.cli as c; sys.exit(c.main(['recognize', sys.argv[2]]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src, str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "witness: a | c--d\n", "")
+
+
 def test_setup_call_imports_no_dataclasses():
     # A fresh CLI call pays for every module the package imports, so the
     # package keeps dataclasses (which pulls in inspect) and string out.

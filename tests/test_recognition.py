@@ -154,12 +154,17 @@ class TestAgreement:
                 assert_valid_witness(g, fast)
 
     def test_random_multipartite_accepted(self, rng):
+        # Besides 60 random ones, the edgeless graph on 200 vertices, built
+        # from no pairs and as one planted block (k = 1), where the oracle
+        # walks every bit of every row.
+        names = [f"v{i:03d}" for i in range(200)]
+        graphs = []
         for trial in range(60):
             k = rng.randint(1, 6)
             sizes = [rng.randint(1, 8) for _ in range(k)]
-            names = iter(f"v{i:03d}" for i in range(sum(sizes)))
-            blocks = [[next(names) for _ in range(s)] for s in sizes]
-            g = complete_multipartite(blocks)
+            members = iter(names)
+            graphs.append(complete_multipartite([[next(members) for _ in range(s)] for s in sizes]))
+        for g in graphs + [graph(names, []), complete_multipartite([names])]:
             result = recognize(g)
             assert isinstance(result, Partition)
             assert_valid_partition(g, result)
@@ -168,15 +173,23 @@ class TestAgreement:
     def test_perturbed_multipartite_rejected(self, rng):
         # Removing one cross edge of a multipartite graph with >= 2 blocks
         # of which one has >= 2 vertices plants an induced K1+K2.
+        graphs = []
         for trial in range(40):
             blocks = [["a1", "a2", "a3"], ["b1", "b2"], ["c1"]]
             g = complete_multipartite(blocks)
             victim = rng.choice(sorted(g.edges))
-            smaller = SimpleGraph(g.vertices, g.edges - {victim})
+            graphs.append(SimpleGraph(g.vertices, g.edges - {victim}))
+        # So does adding a vertex joined to nothing.  Named to sort last, it
+        # is the only isolated vertex of a triple, so the oracle scans every
+        # vertex before it.
+        planted = complete_multipartite([[f"v{i:03d}" for i in range(j, 199, 3)] for j in range(3)])
+        graphs.append(SimpleGraph(planted.vertices | {"z"}, planted.edges))
+        for smaller in graphs:
             fast = recognize(smaller)
             assert isinstance(fast, ForbiddenWitness)
             assert_valid_witness(smaller, fast)
             assert recognize_bruteforce(smaller) == fast
+        assert recognize(graphs[-1]) == ForbiddenWitness("z", ("v000", "v001"))
 
     def test_isolated_vertices_merge_into_one_block(self):
         g = graph("abcd", [])

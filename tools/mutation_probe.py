@@ -10,6 +10,8 @@ module's test files with ``pytest -x``; a mutant that hangs past the time
 limit counts as killed.  A survivor runs again against the Tier-1 suite
 without criteria 8 and 9.  A mutant that survives both is either listed,
 with a reason, in ``tools/equivalent_mutants.txt`` or reported as a gap.
+A listed key that matches no mutant of the probed modules is printed as
+stale, since the code it quotes is gone.
 
 Usage, from the repository root (all eight modules take about 20 minutes
 on two cores; name modules to probe only those):
@@ -139,7 +141,7 @@ def main(argv: list[str]) -> int:
         return 2
     listed = load_equivalents()
     total = killed = wider = 0
-    gaps, accepted = [], set()
+    gaps, accepted, keys = [], set(), set()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in ("src", "tests", "perfbench"):
@@ -157,6 +159,7 @@ def main(argv: list[str]) -> int:
                 print(f"{module}: the tests fail on the unmutated module")
                 return 2
             found = mutants(module, source)
+            keys.update(key for key, _ in found)
             print(f"{module}: {len(found)} mutants, tests pass in {base:.1f} s", flush=True)
             for key, text in found:
                 total += 1
@@ -175,7 +178,7 @@ def main(argv: list[str]) -> int:
           f"survivors {len(accepted) + len(gaps)} ({len(accepted)} listed equivalent, {len(gaps)} not)")
     probed = tuple(f"{m}.py:" for m in modules)
     for key in sorted(k for k in listed if k.startswith(probed) and k not in accepted):
-        print(f"  listed but not a survivor: {key}")
+        print(f"  listed but {'not a survivor' if key in keys else 'matches no mutant'}: {key}")
     return 1 if gaps else 0
 
 
