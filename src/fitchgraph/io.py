@@ -12,13 +12,15 @@ ValueError on a name that their format's parser would not read back.
 Newick is split into tokens (``( ) : , ;`` and the runs between them) by
 padding each delimiter with spaces and one ``str.split``, and one
 recursive descent over the tokens builds the tree.  Only an error
-recovers an offset, from a regular-expression pass that finds the same
-tokens in the text with CR and CRLF made LF.  Whether the root is a leaf
-(a group with one child) is decided once, after the descent, from the
-last edge it stored.  The descent takes one call per group and reads
-leaves in place, but still recurses once per nesting level, so input
-nested beyond Python's recursion limit (about 1,000 groups) raises
-``RecursionError``, a known defect.
+recovers an offset, in the text with CR and CRLF made LF: only
+whitespace lies between tokens, so each token before the failing one is
+found where the one before it ended, and the failing one starts after
+the whitespace that follows (at the end, for the end of input).  Whether
+the root is a leaf (a group with one child) is decided once, after the
+descent, from the last edge it stored.  The descent takes one call per
+group and reads leaves in place, but still recurses once per nesting
+level, so input nested beyond Python's recursion limit (about 1,000
+groups) raises ``RecursionError``, a known defect.
 
 An edge list is read in one pass that fills a neighbour list per vertex,
 one dictionary lookup per edge end, and freezes the lists in place.  A
@@ -30,17 +32,15 @@ second, error-only walk over the text find the first bad line.
 from __future__ import annotations
 
 import re
-from itertools import count, islice
+from itertools import count
 from typing import Collection, Iterator, NoReturn
 
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
 
-# The tokens parse_newick splits out, for error offsets: \s is exactly what
-# str.isspace, and so str.split, accepts.
-_TOKEN = re.compile(r"[():,;]|[^\s():,;]+")
 _LINE = re.compile(r"[^\r\n]+")  # a line's text, between LF, CR or CRLF ends
-_NAME_STOP = {"(", ")", ":", ",", ";", ""}  # tokens that are not names; '' ends the input
+_DELIMITERS = "(),:;"  # Newick's one-character tokens, which no name may hold
+_NAME_STOP = {*_DELIMITERS, ""}  # tokens that are not names; '' ends the input
 _LABEL = {"0": 0, "1": 1}  # edge label token -> label; any other token is an error
 
 
@@ -80,8 +80,8 @@ def _check_names(names: Collection[str], stops: str) -> None:
 
 def _tokens(text: str) -> list[str]:
     """Each of ``( ) : , ;``, and each run of the other characters that
-    ``str.isspace`` rejects, in order: what ``_TOKEN`` finds."""
-    for c in "():,;":
+    ``str.isspace`` rejects, in order."""
+    for c in _DELIMITERS:
         text = text.replace(c, f" {c} ")
     return text.split()
 
@@ -144,9 +144,10 @@ def parse_newick(text: str) -> LabeledTree:
         if tokens[i + 1]:
             raise ParseError("trailing characters after ';'", i + 1)
     except ParseError as exc:
-        text = _normalize(text)
-        at = next(islice(_TOKEN.finditer(text), exc.pos, None), None)
-        raise ParseError(exc.message, at.start() if at else len(text)) from None
+        text, end = _normalize(text), 0
+        for token in tokens[:exc.pos]:
+            end = text.index(token, end) + len(token)
+        raise ParseError(exc.message, len(text) - len(text[end:].lstrip())) from None
     # The root 0 stores its edge to each child after that child's subtree,
     # so it has one child, and is a leaf, iff the last edge stored is (0, 1).
     if next(reversed(labels), None) == (0, 1):
@@ -172,7 +173,7 @@ def serialize_newick(tree: LabeledTree) -> str:
     if tree.root is None:
         raise ValueError("newick serialization requires a rooted tree")
     names, root, walk = tree.leaf_names, tree.root, tree.walk
-    _check_names(names.values(), "(),:;")
+    _check_names(names.values(), _DELIMITERS)
     key = dict(names)  # smallest leaf name below each vertex, children first
     children: dict[int, list[int]] = {}
     for v in reversed(walk.order[1:]):
@@ -339,10 +340,7 @@ def to_dot(obj: SimpleGraph | DirectedGraph | LabeledTree) -> str:
         return "\n".join(lines)
     if isinstance(obj, LabeledTree):
         ids = {v: f"n{i}" for i, v in enumerate(sorted(obj.vertices))}
-        lines = ["graph {"]
-        for v in sorted(obj.vertices):
-            label = obj.leaf_names.get(v, "")
-            lines.append(f"  {ids[v]} [label={_dot_quote(label)}];")
+        lines = ["graph {"] + [f"  {n} [label={_dot_quote(obj.leaf_names.get(v, ''))}];" for v, n in ids.items()]
         for (u, v), lab in sorted(obj.edge_labels.items()):
             lines.append(f"  {ids[u]} -- {ids[v]} [label={_dot_quote(str(lab))}];")
         lines.append("}")

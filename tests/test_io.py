@@ -153,6 +153,12 @@ class TestParseNewick:
             ("(a:0,(b:0,):1)r;", "expected a leaf name or '('", 10),
             ("(a:0,(b:0,c:0)x:3)r;", "edge label must be 0 or 1", 16),
             ("((a:0,b:0):1,c:0 d:0)r;", "expected ',' or ')'", 17),
+            # an earlier token holds the failing one as a substring
+            ("(ab:0,b:7)r;", "edge label must be 0 or 1", 8),
+            # CRLF, U+3000, U+0085, form feed and U+001C are whitespace
+            ("(a:0,\r\n\u3000b:2);\n", "edge label must be 0 or 1", 9),
+            ("(a:0,\x85b:0;", "expected ',' or ')'", 9),
+            ("(a:0,\x0cb:0)\x1cr;\x1cx", "trailing characters after ';'", 14),
         ],
     )
     def test_error_message_and_position(self, text, message, pos):
