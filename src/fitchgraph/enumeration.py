@@ -153,7 +153,7 @@ def realizable_graphs(n: int) -> EnumerationReport:
 def all_graphs(names: Sequence[str]) -> Iterator[SimpleGraph]:
     """All 2^C(n,2) labeled graphs on the given vertices."""
     verts = frozenset(names)
-    pairs = [tuple(sorted(p)) for p in combinations(sorted(names), 2)]
+    pairs = list(combinations(sorted(names), 2))
     for bits in product((False, True), repeat=len(pairs)):
         yield SimpleGraph(verts, [p for p, b in zip(pairs, bits) if b])
 

@@ -7,25 +7,15 @@ exhaustive enumeration machinery relies on that.
 
 How a graph is stored is known to this module alone.  A graph holds
 one of two forms.  Constructed and parsed graphs hold a map from each
-vertex to a frozenset (its neighbours, ``SimpleGraph.adjacency``, or the
-heads of its out-arcs, ``DirectedGraph.successors``), frozen in place
-from their builder's lists or sets, so no second copy is alive, and
-equal sets are one object (:func:`_freeze`): a complete multipartite
-graph with k parts holds k sets.  A Fitch graph holds the chain of its
-tree's 0-components instead, parents first, each with its parent and its
-member names, in O(V + components):
-an entry's members reach every vertex except the members of the entries
-on their path to the root (:func:`complete_multipartite` hangs every
-block from the root).  One fold over the chain, each entry's value its
-parent's less its members, gives both the sets (one frozenset per entry,
-built only when the sets, the pairs, ``==`` or the hash is read) and a
-digraph's sorted rows, each entry's list cut out of its parent's by
-bisection in O(V log V + output).  An undirected graph's rows, which keep
-only the names after each vertex, are cut once per row instead, from
-each block's positions in the sorted names, also in O(V log V + output).
-Equality and hashing compare the sets and never build pair tuples, so
-the tuples are made, from the sets, only when something reads ``.edges``
-or ``.arcs``.
+vertex to a frozenset: its neighbours (``SimpleGraph.adjacency``) or the
+heads of its out-arcs (``DirectedGraph.successors``).  Equal sets are one
+object (:func:`_freeze`), so a complete multipartite graph with k parts
+holds k sets.  A Fitch graph holds instead, in O(V + components), the
+chain of its tree's 0-components, parents first, each with its parent
+and its member names; its sets and sorted rows are derived from the
+chain when first read (:meth:`_Graph._fold`, :meth:`_Graph._rows`).
+Either way pair tuples are made only when something reads ``.edges`` or
+``.arcs``, since equality and hashing compare the sets.
 """
 
 from __future__ import annotations
@@ -34,6 +24,8 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Collection, Iterable, TypeVar
+
+from .tree import _Frozen
 
 # A Fitch graph's 0-components, parents first: one (key, parent key or
 # None, member names) entry each.
@@ -66,18 +58,17 @@ def _freeze(sets: dict[str, Iterable[str]]) -> dict[str, frozenset[str]]:
     return sets
 
 
-class _Graph:
+class _Graph(_Frozen):
     """Vertices plus a name -> frozenset map (attribute ``_sets``) or a
-    chain (``_chain``, else None); ``_pairs`` names the derived pair set.
+    chain (``_chain``, else None); ``_fields`` names the vertices and the
+    derived pair set, which the repr shows.
 
-    Immutable: assignment and deletion raise, though a ``cached_property``
-    still fills its slot in the instance ``__dict__`` on first read.  Two
-    graphs are equal when they are of the same class and have equal set
-    maps, and the hash is that of the map's items.
+    An immutable value (:class:`~fitchgraph.tree._Frozen`) whose key is
+    the set map: two graphs are equal when they are of the same class and
+    have equal set maps, and the hash is that of the map's items.
     """
 
     vertices: frozenset[str]
-    _pairs: str
     _sets: str
     _chain: Chain | None = None
 
@@ -134,23 +125,11 @@ class _Graph:
                 lists[x] = ys
         return names, [(x, lists[x]) for x in names]
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return getattr(self, self._sets) == getattr(other, self._sets)
+    def _key(self) -> dict[str, frozenset[str]]:
+        return getattr(self, self._sets)
 
     def __hash__(self) -> int:
-        return hash(frozenset(getattr(self, self._sets).items()))
-
-    def __repr__(self) -> str:
-        pairs = getattr(self, self._pairs)
-        return f"{type(self).__name__}(vertices={self.vertices!r}, {self._pairs}={pairs!r})"
+        return hash(frozenset(self._key().items()))
 
 
 class SimpleGraph(_Graph):
@@ -162,7 +141,7 @@ class SimpleGraph(_Graph):
     neighbour sets, so ``edges`` holds (min, max) pairs derived from them.
     """
 
-    _pairs, _sets = "edges", "adjacency"
+    _fields, _sets = ("vertices", "edges"), "adjacency"
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         verts = frozenset(vertices)
@@ -235,7 +214,7 @@ class DirectedGraph(_Graph):
     equality follows them, so it sees arc direction.
     """
 
-    _pairs, _sets = "arcs", "successors"
+    _fields, _sets = ("vertices", "arcs"), "successors"
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]):
         verts = frozenset(vertices)

@@ -65,36 +65,21 @@ def _walk(adjacency: Mapping[int, Mapping[int, int]], start: int) -> Walk:
     return Walk(order, parent, top)
 
 
-class LabeledTree:
-    """A tree with {0,1} edge labels, named leaves, and an optional root.
+class _Frozen:
+    """An immutable value named by the attributes in ``_fields``.
 
-    Fields
-    ------
-    vertices    : all vertex ids (kept explicit so the single-vertex tree,
-                  which has no edges, is representable)
-    edge_labels : map from normalized (min, max) vertex pairs to 0 or 1
-    leaf_names  : map from leaf vertex id to its unique name
-    root        : a vertex id, or None for an unrooted tree
-
-    Instances are immutable: assignment and deletion raise, though
-    derived structure (adjacency, walk) is cached in the instance
-    ``__dict__`` on first use.  Two trees are equal when they are of the
-    same class and their four fields are equal; the maps make a tree
-    unhashable.  Use :func:`validate` to check the invariants of a tree
-    assembled by hand.
+    Assignment and deletion raise, though a ``cached_property`` still
+    fills its slot in the instance ``__dict__`` on first read.  Two values
+    are equal when they are of the same class and have equal ``_key()``,
+    by default the ``_fields`` values; the repr is ``Name(f=value, ...)``.
+    A subclass that wants a hash defines ``__hash__``: defining ``__eq__``
+    here leaves it unhashable otherwise.
     """
 
-    vertices: frozenset[int]
-    edge_labels: Mapping[Edge, int]
-    leaf_names: Mapping[int, str]
-    root: int | None
+    _fields: tuple[str, ...]
 
-    def __init__(self, vertices: frozenset[int], edge_labels: Mapping[Edge, int],
-                 leaf_names: Mapping[int, str], root: int | None = None) -> None:
-        self.__dict__.update(vertices=vertices, edge_labels=edge_labels, leaf_names=leaf_names, root=root)
-
-    def _key(self) -> tuple:
-        return self.vertices, self.edge_labels, self.leaf_names, self.root
+    def _key(self) -> object:
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -107,12 +92,38 @@ class LabeledTree:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}(vertices={self.vertices!r}, edge_labels={self.edge_labels!r}, "
-                f"leaf_names={self.leaf_names!r}, root={self.root!r})")
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
+class LabeledTree(_Frozen):
+    """A tree with {0,1} edge labels, named leaves, and an optional root.
+
+    Fields
+    ------
+    vertices    : all vertex ids (kept explicit so the single-vertex tree,
+                  which has no edges, is representable)
+    edge_labels : map from normalized (min, max) vertex pairs to 0 or 1
+    leaf_names  : map from leaf vertex id to its unique name
+    root        : a vertex id, or None for an unrooted tree
+
+    Instances are immutable values (:class:`_Frozen`), though derived
+    structure (adjacency, walk) is cached in the instance ``__dict__`` on
+    first use.  Two trees are equal when they are of the same class and
+    their four fields are equal; a tree defines no hash.  Use
+    :func:`validate` to check the invariants of a tree assembled by hand.
+    """
+
+    vertices: frozenset[int]
+    edge_labels: Mapping[Edge, int]
+    leaf_names: Mapping[int, str]
+    root: int | None
+    _fields = ("vertices", "edge_labels", "leaf_names", "root")
+
+    def __init__(self, vertices: frozenset[int], edge_labels: Mapping[Edge, int],
+                 leaf_names: Mapping[int, str], root: int | None = None) -> None:
+        self.__dict__.update(vertices=vertices, edge_labels=edge_labels, leaf_names=leaf_names, root=root)
 
     @staticmethod
     def build(

@@ -24,7 +24,7 @@ import pytest
 from fitchgraph.fitch import explains
 from fitchgraph.graphs import SimpleGraph
 from fitchgraph.recognition import Partition, recognize
-from fitchgraph.tree import Edge, LabeledTree, contract_edge, edge_key
+from fitchgraph.tree import Edge, LabeledTree, _walk, contract_edge, edge_key
 
 
 # -- independent oracles ----------------------------------------------------
@@ -255,6 +255,16 @@ def edgelist_oracle(text: str) -> tuple[str, int] | list[tuple[str, str]]:
     if names is None:
         return "empty input (expected 'vertices:' header)", 1
     return pairs
+
+
+def check_walk_matches_a_fresh_walk(t):
+    """The walk a tree was built with names, vertex for vertex, the parent
+    and top that a fresh depth-first walk over its adjacency finds."""
+    walk, fresh = t.walk, _walk(t.adjacency, t.root)
+    assert list(walk.order) == list(range(len(t.vertices)))
+    for v in t.vertices:
+        assert walk.parent[v] == fresh.parent[v]
+        assert walk.top[v] == fresh.top[v]
 
 
 # -- random structure generators ---------------------------------------------

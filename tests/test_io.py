@@ -8,7 +8,7 @@ from string import ascii_lowercase
 import pytest
 
 from fitchgraph.enumeration import edge_labelings, enumerate_trees, set_partitions
-from fitchgraph.fitch import undirected_fitch
+from fitchgraph.fitch import directed_fitch, explains, undirected_fitch, zero_blocks
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import (
     ParseError,
@@ -21,10 +21,16 @@ from fitchgraph.io import (
     to_dot,
 )
 from fitchgraph.recognition import Partition
-from fitchgraph.synthesis import canonical_tree, minimal_tree
-from fitchgraph.tree import _walk, path_label_or, reroot, validate
+from fitchgraph.synthesis import canonical_tree, is_least_resolved, minimal_tree
+from fitchgraph.tree import LabeledTree, lca, path_label_or, reroot, restrict_leaves, validate
 
-from conftest import caterpillar, deep_caterpillar, random_graph, random_tree
+from conftest import (
+    caterpillar,
+    check_walk_matches_a_fresh_walk,
+    deep_caterpillar,
+    random_graph,
+    random_tree,
+)
 
 
 class TestParseNewick:
@@ -180,38 +186,55 @@ class TestParseNewick:
             gc.enable()
 
 
-def check_walk_matches_a_fresh_walk(t):
-    """The walk a tree was built with names, vertex for vertex, the parent
-    and top that a fresh depth-first walk over its adjacency finds."""
-    walk, fresh = t.walk, _walk(t.adjacency, t.root)
-    assert list(walk.order) == list(range(len(t.vertices)))
-    for v in t.vertices:
-        assert walk.parent[v] == fresh.parent[v]
-        assert walk.top[v] == fresh.top[v]
+WALK_TEXTS = [
+    "a;", "(a:1)b;", "(a:0)b;", "(a:0,b:1)r;",
+    "((a:1,b:1):1,(c:0,(d:1,e:0):0):1)r;",
+    "(((a:0,b:1):0,c:1):1,(d:0,e:0):0)r;",
+    "((a:0,b:0)x:1)r;", "(a:0,b:0);",
+]
+
+
+def parsed_random_trees(rng):
+    """Random trees rooted at an inner vertex, and caterpillars, each read
+    back from its Newick text."""
+    for n in (2, 3, 7, 30):
+        for p_one in (0.0, 0.3, 1.0):
+            names = [f"l{i}" for i in range(n)]
+            t = random_tree(rng, names, p_one)
+            t = reroot(t, max(v for v in t.vertices if not t.is_leaf(v)) if n > 2 else 0)
+            yield parse_newick(serialize_newick(t))
+            if n > 2:
+                yield parse_newick(serialize_newick(caterpillar(rng, names, p_one)))
 
 
 class TestParsedWalk:
-    @pytest.mark.parametrize("text", [
-        "a;", "(a:1)b;", "(a:0)b;", "(a:0,b:1)r;",
-        "((a:1,b:1):1,(c:0,(d:1,e:0):0):1)r;",
-        "(((a:0,b:1):0,c:1):1,(d:0,e:0):0)r;",
-        "((a:0,b:0)x:1)r;", "(a:0,b:0);",
-    ])
+    @pytest.mark.parametrize("text", WALK_TEXTS)
     def test_hand_made(self, text):
         t = parse_newick(text)
         assert "walk" in vars(t) and "adjacency" not in vars(t)
         check_walk_matches_a_fresh_walk(t)
 
     def test_random_trees(self, rng):
-        for n in (2, 3, 7, 30):
-            for p_one in (0.0, 0.3, 1.0):
-                names = [f"l{i}" for i in range(n)]
-                t = random_tree(rng, names, p_one)
-                t = reroot(t, max(v for v in t.vertices if not t.is_leaf(v)) if n > 2 else 0)
-                check_walk_matches_a_fresh_walk(parse_newick(serialize_newick(t)))
-                if n > 2:
-                    cat = caterpillar(rng, names, p_one)
-                    check_walk_matches_a_fresh_walk(parse_newick(serialize_newick(cat)))
+        for t in parsed_random_trees(rng):
+            check_walk_matches_a_fresh_walk(t)
+
+    def test_readers_agree_on_both_walk_forms(self, rng):
+        # A parsed tree holds its walk's parent and top as lists; the same
+        # tree rebuilt by hand, with the same ids, holds them as dicts.
+        # Every reader of the walk must give both the same answer.
+        for t in [parse_newick(text) for text in WALK_TEXTS] + list(parsed_random_trees(rng)):
+            u = LabeledTree(t.vertices, dict(t.edge_labels), dict(t.leaf_names), t.root)
+            assert isinstance(t.walk.parent, list) and isinstance(u.walk.parent, dict)
+            for reader in (zero_blocks, undirected_fitch, directed_fitch, serialize_newick, to_dot):
+                assert reader(t) == reader(u)
+            g = undirected_fitch(t)
+            assert is_least_resolved(t, g) == is_least_resolved(u, g)
+            assert explains(u, g)
+            names = sorted(t.leaf_name_set)
+            for x, y in combinations(names, 2):
+                assert path_label_or(t, x, y) == path_label_or(u, x, y)
+                assert lca(t, x, y) == lca(u, x, y)
+            assert restrict_leaves(t, names[::2]) == restrict_leaves(u, names[::2])
 
 
 class TestSerializeNewick:

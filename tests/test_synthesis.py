@@ -15,9 +15,13 @@ from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.io import serialize_newick, to_dot
 from fitchgraph.recognition import ForbiddenWitness, Partition, recognize
 from fitchgraph.synthesis import canonical_tree, explain, is_least_resolved, minimal_tree
-from fitchgraph.tree import _walk, contract_edge, validate
+from fitchgraph.tree import contract_edge, validate
 
-from conftest import least_resolved_by_contraction, subdivide_edge
+from conftest import (
+    check_walk_matches_a_fresh_walk,
+    least_resolved_by_contraction,
+    subdivide_edge,
+)
 
 
 def part(*blocks):
@@ -167,10 +171,7 @@ def test_built_trees_carry_their_walk():
             for t in (canonical, minimal):
                 serialize_newick(t)
                 assert "adjacency" not in vars(t)
-                walk, fresh = t.walk, _walk(t.adjacency, t.root)
-                assert list(walk.order) == list(range(len(t.vertices)))
-                assert all(walk.parent[v] == fresh.parent[v] for v in t.vertices)
-                assert all(walk.top[v] == fresh.top[v] for v in t.vertices)
+                check_walk_matches_a_fresh_walk(t)
 
 
 class TestLeastResolved:

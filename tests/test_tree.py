@@ -49,7 +49,7 @@ def test_value_semantics():
     assert LabeledTree.single("a") != LabeledTree(frozenset({0}), {}, {0: "a"})
     assert t != (t.vertices, t.edge_labels, t.leaf_names, t.root)
     with pytest.raises(TypeError, match="unhashable"):
-        hash(t)  # the field tuple holds dicts
+        hash(t)  # a tree defines no hash
     for attr in ("root", "vertices", "walk", "other"):
         with pytest.raises(AttributeError):
             setattr(t, attr, None)
