@@ -13,6 +13,10 @@ combinatorics at desk scale, and the topologies on n leaves are grown
 once per process.  :func:`minimum_tree_size` needs no sweep: a tree
 explains g exactly when its 0-components cut the leaves into g's blocks,
 so one forced labeling per topology decides whether it can explain g.
+With at most five leaves, that labeling is read off leaf bitmasks: a
+table built once per leaf count holds each topology's walk with the mask
+of the leaves below each vertex, and an edge is a 1-edge exactly when
+that mask is a union of g's blocks.  A call builds no tree.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .fitch import explains, undirected_fitch, zero_blocks
+from .fitch import undirected_fitch, zero_blocks
 from .graphs import SimpleGraph
 from .recognition import Partition, recognize
-from .tree import Edge, LabeledTree, edge_key
+from .tree import Edge, LabeledTree
 
 MAX_TOPOLOGY_LEAVES = 6
 MAX_REALIZABLE_LEAVES = 5
@@ -180,6 +184,26 @@ def verify_characterization(n: int) -> CharacterizationFailure | None:
     return None
 
 
+@cache
+def _leaf_walks(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]], ...]:
+    """One row per topology on n >= 2 leaves, by increasing vertex count:
+    its vertex count, its leaf vertices in insertion order (leaf i stands
+    for bit i of a leaf mask), and its walk as (vertex, parent, mask of the
+    leaves below) in preorder, the start vertex left out.  A topology's ids
+    run 0..count - 1, so a list indexed by id can hold each vertex's top."""
+    rows = []
+    for topo in sorted(_topologies(n), key=lambda t: len(t.vertices)):
+        order, parent = topo.walk.order, topo.walk.parent
+        below = dict.fromkeys(order, 0)
+        for i, v in enumerate(topo.leaf_names):
+            below[v] = 1 << i
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v]
+        walk = tuple([(v, parent[v], below[v]) for v in order[1:]])
+        rows.append((len(topo.vertices), tuple(topo.leaf_names), walk))
+    return tuple(rows)
+
+
 def minimum_tree_size(g: SimpleGraph) -> int:
     """Fewest vertices over all edge-labeled trees explaining *g*.
 
@@ -188,8 +212,14 @@ def minimum_tree_size(g: SimpleGraph) -> int:
     labeling puts 0 on every edge that some block of *g* has leaves on
     both sides of; the forced labeling, 0 on exactly those edges and 1 on
     the rest, keeps all its 1s, so it explains *g* whenever any labeling
-    of the topology does.  Only defined for complete multipartite graphs
-    of at most MAX_REALIZABLE_LEAVES vertices.
+    of the topology does.  With the sorted names of *g* as bits, the edge
+    above a vertex gets 1 exactly when the leaves below it form a union of
+    blocks.  Every block then lies in one 0-component, so the forced
+    labeling explains *g* exactly when the leaves fall into as many
+    0-components as *g* has blocks.  Each topology is read from a table
+    of leaf masks built once per leaf count, so a call builds no tree.
+    Only defined for complete multipartite graphs of at most
+    MAX_REALIZABLE_LEAVES vertices.
     """
     n = len(g.vertices)
     if n > MAX_REALIZABLE_LEAVES:
@@ -199,23 +229,21 @@ def minimum_tree_size(g: SimpleGraph) -> int:
         raise ValueError("graph is not a Fitch graph")
     if n == 1:
         return 1
-    names = sorted(g.vertices)
-    for topo in sorted(_topologies(n), key=lambda t: len(t.vertices)):
-        leaf_names = dict(zip(topo.leaf_names, names))
-        below: dict[int, set[str]] = {v: set() for v in topo.vertices}
-        for v, name in leaf_names.items():
-            below[v].add(name)
-        labels: dict[Edge, int] = {}
-        walk = topo.walk
-        for v in reversed(walk.order[1:]):  # children first
-            up = walk.parent[v]  # the edge (v, up) has the leaves below v on one side
-            side = below[v]
-            labels[edge_key(v, up)] = int(
-                all(b <= side or b.isdisjoint(side) for b in partition.blocks)
-            )
-            below[up] |= side
-        if explains(LabeledTree(topo.vertices, labels, leaf_names), g):
-            return len(topo.vertices)
+    bit = {name: 1 << i for i, name in enumerate(sorted(g.vertices))}
+    unions = {0}  # the leaf masks of every union of blocks
+    for block in partition.blocks:
+        mask = 0
+        for name in block:
+            mask |= bit[name]
+        unions |= {u | mask for u in unions}
+    k = len(partition.blocks)
+    for size, leaves, walk in _leaf_walks(n):
+        top = list(range(size))  # v tops its own 0-component unless the edge above it is a 0-edge
+        for v, up, side in walk:
+            if side not in unions:
+                top[v] = top[up]
+        if len({top[v] for v in leaves}) == k:
+            return size
     raise AssertionError("no explaining tree found for a multipartite graph")
 
 

@@ -48,12 +48,20 @@ def explains(tree: LabeledTree, g: SimpleGraph) -> bool:
     """Whether *g* is the undirected Fitch graph of *tree*, in O(tree + |E|).
 
     True iff *g* has the leaf names as vertices and each member of a block
-    b has n - |b| neighbours, none of them in b.
+    b of :func:`zero_blocks` has n - |b| neighbours, none of them in b.
+    The check runs on the blocks alone (:func:`_blocks_explain`), so a
+    caller that needs the blocks too, such as
+    :func:`fitchgraph.synthesis.is_least_resolved`, computes them once.
     """
+    return _blocks_explain(zero_blocks(tree), tree, g)
+
+
+def _blocks_explain(blocks: dict[int, list[str]], tree: LabeledTree, g: SimpleGraph) -> bool:
+    """:func:`explains` on *tree*'s already computed :func:`zero_blocks`."""
     if g.vertices != tree.leaf_name_set:
         return False
     adj, n = g.adjacency, len(g.vertices)
-    for names in zero_blocks(tree).values():
+    for names in blocks.values():
         block, degree = frozenset(names), n - len(names)
         if any(len(adj[x]) != degree or not adj[x].isdisjoint(block) for x in names):
             return False

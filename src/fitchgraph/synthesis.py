@@ -17,7 +17,7 @@ from typing import Union
 
 # perfbench/tracing.py patches undirected_fitch and contract_edge through
 # this module's namespace, and its install() reads vars(owner)[attr].
-from .fitch import explains, undirected_fitch, zero_blocks  # noqa: F401
+from .fitch import _blocks_explain, undirected_fitch, zero_blocks  # noqa: F401
 from .graphs import SimpleGraph
 from .recognition import ForbiddenWitness, Partition, recognize
 from .tree import Edge, LabeledTree, contract_edge  # noqa: F401
@@ -29,7 +29,7 @@ def _builder(p: Partition, merge_first: bool) -> LabeledTree:
     1-edge.  *merge_first* hangs the first block's members on the root."""
     if not p.blocks:
         raise ValueError("empty partition")
-    if p.sizes == (1,):
+    if len(p.blocks) == 1 == len(p.blocks[0]):
         return LabeledTree.single(next(iter(p.blocks[0])))
     ids = count(1)
     labels: dict[Edge, int] = {}
@@ -86,12 +86,14 @@ def is_least_resolved(tree: LabeledTree, g: SimpleGraph) -> bool:
     least-resolved.  Contracting a 0-edge keeps every path's label OR; a
     1-edge joins two 0-components, changing the graph iff both hold a leaf.
     """
-    if not explains(tree, g):
+    leafy = zero_blocks(tree)
+    if not _blocks_explain(leafy, tree, g):
         raise ValueError("tree does not explain graph")
-    leafy, top = zero_blocks(tree), tree.walk.top
+    top, leaves = tree.walk.top, tree.leaf_names
     return all(
-        tree.edge_labels[e] and top[e[0]] in leafy and top[e[1]] in leafy
-        for e in tree.inner_edges()
+        lab and top[u] in leafy and top[v] in leafy
+        for (u, v), lab in tree.edge_labels.items()
+        if u not in leaves and v not in leaves
     )
 
 

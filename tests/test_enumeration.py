@@ -1,5 +1,7 @@
 """Tests for the exhaustive enumeration machinery."""
 
+from collections import Counter
+from functools import cached_property
 from itertools import combinations
 from string import ascii_lowercase
 
@@ -20,7 +22,8 @@ from fitchgraph.enumeration import (
 )
 from fitchgraph.fitch import undirected_fitch, directed_fitch, underlying_undirected
 from fitchgraph.graphs import SimpleGraph, complete_multipartite
-from fitchgraph.tree import reroot, restrict_leaves, validate
+from fitchgraph import tree as tree_module
+from fitchgraph.tree import LabeledTree, reroot, restrict_leaves, validate
 
 from conftest import (
     bell_binomial,
@@ -125,7 +128,7 @@ class TestEnumerateTrees:
         assert enumerate_trees(n) == trees_by_insertion(list(ascii_lowercase[:n]))
 
     def test_returned_trees_are_fresh(self):
-        # The cached topologies also hold the walks minimum_tree_size reads.
+        # minimum_tree_size reads a table built from the cached topologies.
         g = complete_multipartite([{"a", "b"}, {"c"}, {"d"}])
         size = minimum_tree_size(g)
         first = enumerate_trees(4)
@@ -235,6 +238,30 @@ class TestMinimumTreeSize:
         for blocks in set_partitions(SHUFFLED[:n]):
             g = complete_multipartite(blocks)
             assert minimum_tree_size(g) == minimum_tree_size_bruteforce(g), blocks
+
+    def test_builds_no_tree_once_cached(self, monkeypatch):
+        # A first call per leaf count fills the caches; after that a call
+        # reads its leaf-mask table and builds no tree, adjacency or walk.
+        graphs = [complete_multipartite(b) for n in range(1, 6) for b in set_partitions(SHUFFLED[:n])]
+        sizes = [minimum_tree_size(g) for g in graphs]
+        work: Counter[str] = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                work[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LabeledTree, "__init__", counted("tree", LabeledTree.__init__))
+        adjacency = cached_property(counted("adjacency", vars(LabeledTree)["adjacency"].func))
+        adjacency.__set_name__(LabeledTree, "adjacency")
+        monkeypatch.setattr(LabeledTree, "adjacency", adjacency)
+        monkeypatch.setattr(tree_module, "_walk", counted("walk", tree_module._walk))
+        assert [minimum_tree_size(g) for g in graphs] == sizes
+        assert not work
+        # the wrappers see a fresh tree's walk
+        assert LabeledTree.build([(0, 1, 0)], {0: "a", 1: "b"}).walk.top
+        assert work == {"tree": 1, "adjacency": 1, "walk": 1}
 
 
 class TestSweeps:

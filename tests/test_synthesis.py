@@ -10,7 +10,8 @@ from fitchgraph.enumeration import (
     minimum_tree_size,
     set_partitions,
 )
-from fitchgraph.fitch import undirected_fitch
+from fitchgraph import fitch, synthesis
+from fitchgraph.fitch import undirected_fitch, zero_blocks
 from fitchgraph.graphs import SimpleGraph, complete_multipartite
 from fitchgraph.io import serialize_newick, to_dot
 from fitchgraph.recognition import ForbiddenWitness, Partition, recognize
@@ -192,6 +193,26 @@ class TestLeastResolved:
         wrong = complete_multipartite([{"a"}, {"b"}, {"c"}])
         with pytest.raises(ValueError, match="does not explain"):
             is_least_resolved(canonical_tree(p), wrong)
+
+    def test_zero_blocks_once_per_call(self, monkeypatch):
+        # The explains check and the edge check share one zero_blocks.
+        calls = []
+
+        def counted(tree):
+            calls.append(tree)
+            return zero_blocks(tree)
+
+        monkeypatch.setattr(fitch, "zero_blocks", counted)
+        monkeypatch.setattr(synthesis, "zero_blocks", counted)
+        p = part({"a", "b"}, {"c", "d"}, {"e"})
+        for t, least in ((canonical_tree(p), False), (minimal_tree(p), True)):
+            calls.clear()
+            assert is_least_resolved(t, block_graph(p)) is least
+            assert calls == [t]
+        calls.clear()
+        with pytest.raises(ValueError, match="does not explain"):
+            is_least_resolved(canonical_tree(p), complete_multipartite([set("abcde")]))
+        assert len(calls) == 1
 
     def test_minimum_trees_are_least_resolved(self):
         # Every explaining tree of minimum size passes the predicate.
