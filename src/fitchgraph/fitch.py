@@ -45,12 +45,17 @@ def undirected_fitch(tree: LabeledTree) -> SimpleGraph:
 
 
 def explains(tree: LabeledTree, g: SimpleGraph) -> bool:
-    """Whether *g* is the undirected Fitch graph of *tree*, in O(tree + |E|).
+    """Whether *g* is the undirected Fitch graph of *tree*.
 
     True iff *g* has the leaf names as vertices and each member of a block
     b of :func:`zero_blocks` has n - |b| neighbours, none of them in b.
-    The check runs on the blocks alone (:func:`_blocks_explain`), so a
-    caller that needs the blocks too, such as
+    Since no vertex is its own neighbour, that holds iff the block's first
+    member has n - |b| neighbours and every other member has the same
+    set, which is the same object in every graph this package builds,
+    parses or computes.  So once *g*'s neighbour sets exist the check is
+    O(tree), and O(tree + |E|) when equal sets are distinct objects.
+    It runs on the blocks alone (:func:`_blocks_explain`), so a caller
+    that needs the blocks too, such as
     :func:`fitchgraph.synthesis.is_least_resolved`, computes them once.
     """
     return _blocks_explain(zero_blocks(tree), tree, g)
@@ -62,9 +67,13 @@ def _blocks_explain(blocks: dict[int, list[str]], tree: LabeledTree, g: SimpleGr
         return False
     adj, n = g.adjacency, len(g.vertices)
     for names in blocks.values():
-        block, degree = frozenset(names), n - len(names)
-        if any(len(adj[x]) != degree or not adj[x].isdisjoint(block) for x in names):
+        first = adj[names[0]]
+        if len(first) != n - len(names):
             return False
+        for x in names:
+            nbrs = adj[x]
+            if nbrs is not first and nbrs != first:
+                return False
     return True
 
 

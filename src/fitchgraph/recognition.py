@@ -30,7 +30,8 @@ class Partition(NamedTuple):
     @staticmethod
     def canonical(blocks: Iterable[Iterable[str]]) -> "Partition":
         frozen, _ = disjoint_blocks(blocks)
-        frozen.sort(key=lambda b: (-len(b), min(b)))
+        frozen.sort(key=min)
+        frozen.sort(key=len, reverse=True)
         return Partition(tuple(frozen))
 
     @property

@@ -1,18 +1,18 @@
 """Explaining trees for complete multipartite graphs.
 
 Every complete multipartite graph is explained by a tree hung from its
-partition in one pass, with preorder ids, so the tree carries its walk
-from the start: a root with one child per independent set and 1-labels
-exactly on the root's edges.  The canonical tree does this for every
-set; the minimal tree hangs the first, and thus largest, set's members
-from the root itself, which gives the minimum vertex count.  A checker
-for the least-resolved property (no edge contraction preserves the
-explained graph) completes the module.
+partition in one pass: a root with one child per independent set and
+1-labels exactly on the root's edges.  The pass gives out preorder ids
+and fills in each vertex's parent and 0-component top as it goes, so the
+tree carries its walk from the start and is never walked again.  The
+canonical tree does this for every set; the minimal tree hangs the
+first, and thus largest, set's members from the root itself, which gives
+the minimum vertex count.  A checker for the least-resolved property (no
+edge contraction preserves the explained graph) completes the module.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Union
 
 # perfbench/tracing.py patches undirected_fitch and contract_edge through
@@ -26,28 +26,36 @@ from .tree import Edge, LabeledTree, contract_edge  # noqa: F401
 def _builder(p: Partition, merge_first: bool) -> LabeledTree:
     """Hang *p*'s blocks from root 0, ids in preorder: a singleton on a
     1-edge, a larger block's members on 0-edges under an inner child on a
-    1-edge.  *merge_first* hangs the first block's members on the root."""
+    1-edge.  *merge_first* hangs the first block's members on the root.
+    Each vertex's parent and top are known when its id is given out: a
+    vertex under a 1-edge is its own top, one under a 0-edge has its
+    parent's, which is that parent itself."""
     if not p.blocks:
         raise ValueError("empty partition")
     if len(p.blocks) == 1 == len(p.blocks[0]):
         return LabeledTree.single(next(iter(p.blocks[0])))
-    ids = count(1)
     labels: dict[Edge, int] = {}
     names: dict[int, str] = {}
+    parent: list[int | None] = [None]
+    top = [0]
     for i, block in enumerate(p.blocks):
         members = sorted(block)
         if i == 0 and merge_first:
-            parent, label = 0, 0
+            up, label = 0, 0
         elif len(members) == 1:
-            parent, label = 0, 1
+            up, label = 0, 1
         else:
-            parent, label = next(ids), 0
-            labels[0, parent] = 1
+            up, label = len(parent), 0
+            labels[0, up] = 1
+            parent.append(0)
+            top.append(up)
         for name in members:
-            v = next(ids)
-            labels[parent, v] = label
+            v = len(parent)
+            labels[up, v] = label
             names[v] = name
-    return LabeledTree._preorder(labels, names)
+            parent.append(up)
+            top.append(v if label else up)
+    return LabeledTree._walked(labels, names, parent, top)
 
 
 def canonical_tree(p: Partition) -> LabeledTree:
@@ -72,7 +80,7 @@ def minimal_tree(p: Partition) -> LabeledTree:
     at all, so they get a bare labeled edge: 0 within a block, 1 across.
     Raises ValueError on the empty partition.
     """
-    if sum(p.sizes) == 2:
+    if sum(map(len, p.blocks)) == 2:
         a, b = sorted(p.vertex_set)
         return LabeledTree._preorder({(0, 1): len(p.blocks) - 1}, {0: a, 1: b})
     return _builder(p, bool(p.blocks) and len(p.blocks[0]) > 1)

@@ -34,7 +34,7 @@ class Walk(NamedTuple):
     top        : vertex -> the highest vertex of its 0-component, the piece
                  of the tree around it left after deleting every 1-edge
 
-    A tree built with preorder ids (:meth:`LabeledTree._preorder`) has
+    A tree built with preorder ids (:meth:`LabeledTree._walked`) has
     ``order = range(n)``, and ``parent`` and ``top`` are lists indexed by
     id; any other tree's walk (:func:`_walk`) holds dicts.  So a reader
     may only index ``parent`` and ``top`` by a vertex id, never iterate
@@ -157,6 +157,14 @@ class LabeledTree(_Frozen):
         for v in range(1, n):
             if not up[v]:
                 top[v] = top[parent[v]]
+        return LabeledTree._walked(edge_labels, leaf_names, parent, top)
+
+    @staticmethod
+    def _walked(edge_labels: dict[Edge, int], leaf_names: Mapping[int, str],
+                parent: list[int | None], top: list[int]) -> "LabeledTree":
+        """The tree rooted at 0 with preorder ids 0..n-1, given the *parent*
+        and *top* lists of its walk; trusted, not validated."""
+        n = len(parent)
         tree = LabeledTree(frozenset(range(n)), edge_labels, leaf_names, 0)
         tree.__dict__["walk"] = Walk(range(n), parent, top)
         return tree
@@ -199,12 +207,6 @@ class LabeledTree(_Frozen):
     @property
     def leaf_name_set(self) -> frozenset[str]:
         return frozenset(self.leaf_names.values())
-
-    def inner_edges(self) -> list[Edge]:
-        """Edges with no leaf endpoint, sorted."""
-        return sorted(
-            e for e in self.edge_labels if not (self.is_leaf(e[0]) or self.is_leaf(e[1]))
-        )
 
 
 def validate(tree: LabeledTree) -> str | None:

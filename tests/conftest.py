@@ -124,7 +124,8 @@ def split_system(tree: LabeledTree) -> frozenset[frozenset[str]]:
 def least_resolved_by_contraction(tree: LabeledTree, g: SimpleGraph) -> bool:
     """Least-resolved by definition: contract each inner edge in turn and
     check that the per-pair Fitch graph of the result is no longer *g*."""
-    return all(fitch_bruteforce(contract_edge(tree, e)) != g for e in tree.inner_edges())
+    inner = sorted(e for e in tree.edge_labels if not (tree.is_leaf(e[0]) or tree.is_leaf(e[1])))
+    return all(fitch_bruteforce(contract_edge(tree, e)) != g for e in inner)
 
 
 def multipartite_via_complement(g: SimpleGraph) -> bool:

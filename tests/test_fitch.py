@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from fitchgraph.enumeration import all_graphs, edge_labelings, enumerate_trees
+from fitchgraph.enumeration import all_graphs, edge_labelings, enumerate_trees, set_partitions
 from fitchgraph.fitch import (
     directed_fitch,
     explains,
@@ -17,7 +17,7 @@ from fitchgraph.fitch import (
 from fitchgraph.graphs import DirectedGraph, SimpleGraph, complete_multipartite
 from fitchgraph.io import parse_newick, serialize_arclist
 from fitchgraph.recognition import Partition, recognize
-from fitchgraph.synthesis import canonical_tree
+from fitchgraph.synthesis import canonical_tree, minimal_tree
 from fitchgraph.tree import LabeledTree, reroot, restrict_leaves, suppress_degree2
 
 from conftest import (
@@ -181,6 +181,33 @@ class TestExplains:
                         assert explains(t, g) == (fitch == g)
                         checked += 1
         assert checked == 7602
+
+    def test_one_flipped_pair_is_seen_on_five_and_six_leaves(self):
+        # The set-held graph of each partition of 5 and 6 names is
+        # explained by its minimal and canonical trees, and flipping any
+        # one vertex pair, inside a block or across two, makes both say no.
+        for n in (5, 6):
+            names = "abcdef"[:n]
+            for blocks in set_partitions(names):
+                p = Partition.canonical(blocks)
+                edges = complete_multipartite(p.blocks).edges
+                trees = minimal_tree(p), canonical_tree(p)
+                g = SimpleGraph.build(names, edges)
+                assert all(explains(t, g) for t in trees)
+                for pair in combinations(names, 2):
+                    flipped = SimpleGraph.build(names, edges ^ {pair})
+                    assert not any(explains(t, flipped) for t in trees)
+
+    def test_equal_sets_need_not_be_one_object(self):
+        # Every graph the package makes holds one set per block; a graph
+        # whose members hold equal copies is still compared set by set, past
+        # the first member, whose set has the right size in each case.
+        p = Partition.canonical(["abc", "de", "f"])
+        for flip in (set(), {("b", "c")}, {("b", "d")}):
+            g = SimpleGraph.build("abcdef", complete_multipartite(p.blocks).edges ^ flip)
+            vars(g)["adjacency"] = {v: frozenset(sorted(s)) for v, s in g.adjacency.items()}
+            assert g.adjacency["a"] is not g.adjacency["c"]
+            assert explains(minimal_tree(p), g) == (not flip)
 
 
 class TestDeepTree:

@@ -161,14 +161,17 @@ class TestMinimalTree:
 def test_built_trees_carry_their_walk():
     # canonical_tree and minimal_tree give preorder ids and set the walk,
     # which names the parent and top that a fresh walk over the adjacency
-    # finds; checking the tree against its graph, or writing it as Newick,
-    # builds no adjacency.
-    for n in range(1, 6):
+    # finds; checking the tree against its graph, held as a chain or as
+    # the sets that SimpleGraph.build makes of its cross pairs, gives one
+    # verdict and, like writing the tree as Newick, builds no adjacency.
+    for n in range(1, 7):
         for blocks in set_partitions(ascii_lowercase[:n]):
             p = part(*blocks)
+            chain = block_graph(p)
+            sets = SimpleGraph.build(chain.vertices, chain.edges)
             canonical, minimal = canonical_tree(p), minimal_tree(p)
-            is_least_resolved(canonical, block_graph(p))
-            assert is_least_resolved(minimal, block_graph(p))
+            assert is_least_resolved(canonical, chain) == is_least_resolved(canonical, sets)
+            assert is_least_resolved(minimal, chain) and is_least_resolved(minimal, sets)
             for t in (canonical, minimal):
                 serialize_newick(t)
                 assert "adjacency" not in vars(t)
