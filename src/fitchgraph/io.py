@@ -11,7 +11,11 @@ ValueError on a name that their format's parser would not read back.
 
 Newick is split into tokens (``( ) : , ;`` and the runs between them) by
 padding each delimiter with spaces and one ``str.split``, and one
-recursive descent over the tokens builds the tree.  Only an error
+recursive descent over the tokens builds the tree.  The descent gives
+out preorder ids and records each vertex's parent and the label of the
+edge above it, from which ``LabeledTree._walked`` derives the
+0-component tops, so a parsed tree carries its walk and its edges are
+not walked again.  Only an error
 recovers an offset, in the text with CR and CRLF made LF: only
 whitespace lies between tokens, so each token before the failing one is
 found where the one before it ended, and the failing one starts after
@@ -32,8 +36,7 @@ second, error-only walk over the text find the first bad line.
 from __future__ import annotations
 
 import re
-from itertools import count
-from typing import Collection, Iterator, NoReturn
+from typing import Collection, NoReturn
 
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
@@ -86,35 +89,41 @@ def _tokens(text: str) -> list[str]:
     return text.split()
 
 
-def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, int],
-             leaves: dict[str, int]) -> tuple[int, int]:
-    """Read the group whose ``(`` is token *i*, giving ids in preorder.
+def _subtree(tokens: list[str], i: int, parent: list[int | None], up: list[int],
+             labels: dict[Edge, int], leaves: dict[str, int]) -> int:
+    """Read the group whose ``(`` is token *i*, whose vertex is the last
+    one given an id, and return the index after it.
 
-    Returns the index after it and its vertex.  A leaf child is read in
-    place, and only a child group takes a call, so the descent makes one
-    call per group and recurses once per nesting level.  Each edge label
-    is looked up in ``_LABEL``.  A name after a group's ``)`` is skipped:
-    it names an inner vertex, unless the group is a root with one child,
-    which :func:`parse_newick` decides once the descent is over.  Raises
+    Each child gets the next preorder id by appending its parent to
+    *parent* and a placeholder to *up*, which the child's edge label
+    replaces once it is read.  A leaf child is read in place, and only a
+    child group takes a call, so the descent makes one call per group and
+    recurses once per nesting level.  Each edge label is looked up in
+    ``_LABEL``.  A name after a group's ``)`` is skipped: it names an
+    inner vertex, unless the group is a root with one child, which
+    :func:`parse_newick` decides once the descent is over.  Raises
     ParseError with a token index as its position.
     """
-    node = next(ids)
+    node = len(parent) - 1
     while True:
         i += 1
         name = tokens[i]
+        child = len(parent)
+        parent.append(node)
+        up.append(1)
         if name == "(":
-            i, child = _subtree(tokens, i, ids, labels, leaves)
+            i = _subtree(tokens, i, parent, up, labels, leaves)
         else:
             if name in _NAME_STOP:
                 raise ParseError("expected a leaf name or '('", i)
             if name in leaves:
                 raise ParseError(f"duplicate leaf name {name!r}", i)
-            child = leaves[name] = next(ids)
+            leaves[name] = child
             i += 1
         if tokens[i] != ":":
             raise ParseError("missing edge label (expected ':0' or ':1')", i)
         try:
-            labels[node, child] = _LABEL[tokens[i + 1]]
+            labels[node, child] = up[child] = _LABEL[tokens[i + 1]]
         except KeyError:
             raise ParseError("edge label must be 0 or 1", i + 1)
         i += 2
@@ -122,7 +131,7 @@ def _subtree(tokens: list[str], i: int, ids: Iterator[int], labels: dict[Edge, i
             break
     if tokens[i] != ")":
         raise ParseError("expected ',' or ')'", i)
-    return i + 1 + (tokens[i + 1] not in _NAME_STOP), node
+    return i + 1 + (tokens[i + 1] not in _NAME_STOP)
 
 
 def parse_newick(text: str) -> LabeledTree:
@@ -131,9 +140,11 @@ def parse_newick(text: str) -> LabeledTree:
     tokens.append("")  # end of input
     labels: dict[Edge, int] = {}
     leaves: dict[str, int] = {}
+    parent: list[int | None] = [None]
+    up = [1]
     try:
         if tokens[0] == "(":
-            i = _subtree(tokens, 0, count(), labels, leaves)[0]
+            i = _subtree(tokens, 0, parent, up, labels, leaves)
         elif tokens[0] in _NAME_STOP:
             raise ParseError("expected a leaf name or '('", 0)
         else:  # a bare leaf root
@@ -160,7 +171,7 @@ def parse_newick(text: str) -> LabeledTree:
     # Valid by construction, so validate() is not called: ids run 0..n-1
     # in preorder from the root, every edge is (parent, child) = (min, max)
     # with a 0/1 label, and every leaf carries a unique non-empty name.
-    return LabeledTree._preorder(labels, {v: name for name, v in leaves.items()})
+    return LabeledTree._walked(labels, {v: name for name, v in leaves.items()}, parent, up)
 
 
 def serialize_newick(tree: LabeledTree) -> str:

@@ -3,12 +3,14 @@
 Every complete multipartite graph is explained by a tree hung from its
 partition in one pass: a root with one child per independent set and
 1-labels exactly on the root's edges.  The pass gives out preorder ids
-and fills in each vertex's parent and 0-component top as it goes, so the
-tree carries its walk from the start and is never walked again.  The
-canonical tree does this for every set; the minimal tree hangs the
-first, and thus largest, set's members from the root itself, which gives
-the minimum vertex count.  A checker for the least-resolved property (no
-edge contraction preserves the explained graph) completes the module.
+and records each vertex's parent and the label of the edge above it as
+it goes; ``LabeledTree._walked`` derives each vertex's 0-component top
+from those two lists, so the tree carries its walk from the start and
+its edges are never walked again.  The canonical tree does this for
+every set; the minimal tree hangs the first, and thus largest, set's
+members from the root itself, which gives the minimum vertex count.  A
+checker for the least-resolved property (no edge contraction preserves
+the explained graph) completes the module.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ def _builder(p: Partition, merge_first: bool) -> LabeledTree:
     """Hang *p*'s blocks from root 0, ids in preorder: a singleton on a
     1-edge, a larger block's members on 0-edges under an inner child on a
     1-edge.  *merge_first* hangs the first block's members on the root.
-    Each vertex's parent and top are known when its id is given out: a
-    vertex under a 1-edge is its own top, one under a 0-edge has its
-    parent's, which is that parent itself."""
+    Each vertex's parent and the label above it are recorded as its id is
+    given out, so :meth:`LabeledTree._walked` makes the walk without a
+    second pass over the edges."""
     if not p.blocks:
         raise ValueError("empty partition")
     if len(p.blocks) == 1 == len(p.blocks[0]):
@@ -37,25 +39,25 @@ def _builder(p: Partition, merge_first: bool) -> LabeledTree:
     labels: dict[Edge, int] = {}
     names: dict[int, str] = {}
     parent: list[int | None] = [None]
-    top = [0]
+    up = [1]
     for i, block in enumerate(p.blocks):
         members = sorted(block)
         if i == 0 and merge_first:
-            up, label = 0, 0
+            hub, label = 0, 0
         elif len(members) == 1:
-            up, label = 0, 1
+            hub, label = 0, 1
         else:
-            up, label = len(parent), 0
-            labels[0, up] = 1
+            hub, label = len(parent), 0
+            labels[0, hub] = 1
             parent.append(0)
-            top.append(up)
+            up.append(1)
         for name in members:
             v = len(parent)
-            labels[up, v] = label
+            labels[hub, v] = label
             names[v] = name
-            parent.append(up)
-            top.append(v if label else up)
-    return LabeledTree._walked(labels, names, parent, top)
+            parent.append(hub)
+            up.append(label)
+    return LabeledTree._walked(labels, names, parent, up)
 
 
 def canonical_tree(p: Partition) -> LabeledTree:
@@ -82,7 +84,8 @@ def minimal_tree(p: Partition) -> LabeledTree:
     """
     if sum(map(len, p.blocks)) == 2:
         a, b = sorted(p.vertex_set)
-        return LabeledTree._preorder({(0, 1): len(p.blocks) - 1}, {0: a, 1: b})
+        label = len(p.blocks) - 1
+        return LabeledTree._walked({(0, 1): label}, {0: a, 1: b}, [None, 0], [1, label])
     return _builder(p, bool(p.blocks) and len(p.blocks[0]) > 1)
 
 

@@ -34,11 +34,15 @@ class Walk(NamedTuple):
     top        : vertex -> the highest vertex of its 0-component, the piece
                  of the tree around it left after deleting every 1-edge
 
-    A tree built with preorder ids (:meth:`LabeledTree._walked`) has
-    ``order = range(n)``, and ``parent`` and ``top`` are lists indexed by
-    id; any other tree's walk (:func:`_walk`) holds dicts.  So a reader
-    may only index ``parent`` and ``top`` by a vertex id, never iterate
-    them, test membership or call dict methods on them.
+    A tree with preorder ids gets its walk from :meth:`LabeledTree._walked`.
+    The code that gives out the ids fills ``parent`` and the label above
+    each vertex as it goes (``io._subtree`` for a parsed tree,
+    ``synthesis._builder`` for a built one), and ``_walked`` derives
+    ``top`` from them.  Such a walk has ``order = range(n)``, and
+    ``parent`` and ``top`` are lists indexed by id; any other tree's walk
+    (:func:`_walk`) holds dicts.  So a reader may only index ``parent``
+    and ``top`` by a vertex id, never iterate them, test membership or
+    call dict methods on them.
     """
 
     order: Sequence[int]
@@ -142,29 +146,19 @@ class LabeledTree(_Frozen):
         return LabeledTree(frozenset(verts), labels, dict(leaf_names), root)
 
     @staticmethod
-    def _preorder(edge_labels: dict[Edge, int], leaf_names: Mapping[int, str]) -> "LabeledTree":
+    def _walked(edge_labels: dict[Edge, int], leaf_names: Mapping[int, str],
+                parent: list[int | None], up: list[int]) -> "LabeledTree":
         """The tree rooted at 0 whose ids 0..n-1 run in preorder, with every
-        edge keyed (parent, child); trusted, not validated.  Its walk is
-        read off the keys, so neither ``adjacency`` nor :func:`_walk` runs:
-        ``top[v]`` is v below a 1-edge, else ``top[parent[v]]``."""
-        n = len(edge_labels) + 1
-        parent: list[int | None] = [None] * n
-        up = [1] * n  # the label of the edge above each vertex
-        for (u, v), lab in edge_labels.items():
-            parent[v] = u
-            up[v] = lab
+        edge keyed (parent, child), given each vertex's *parent* and the
+        label *up* of the edge above it (the root's is never read); trusted,
+        not validated.  Its walk is made here, so neither ``adjacency`` nor
+        :func:`_walk` runs: ``top[v]`` is v below a 1-edge, else
+        ``top[parent[v]]``."""
+        n = len(parent)
         top = list(range(n))
         for v in range(1, n):
             if not up[v]:
                 top[v] = top[parent[v]]
-        return LabeledTree._walked(edge_labels, leaf_names, parent, top)
-
-    @staticmethod
-    def _walked(edge_labels: dict[Edge, int], leaf_names: Mapping[int, str],
-                parent: list[int | None], top: list[int]) -> "LabeledTree":
-        """The tree rooted at 0 with preorder ids 0..n-1, given the *parent*
-        and *top* lists of its walk; trusted, not validated."""
-        n = len(parent)
         tree = LabeledTree(frozenset(range(n)), edge_labels, leaf_names, 0)
         tree.__dict__["walk"] = Walk(range(n), parent, top)
         return tree
@@ -172,7 +166,7 @@ class LabeledTree(_Frozen):
     @staticmethod
     def single(name: str) -> "LabeledTree":
         """The one-vertex tree (its only vertex is a leaf named *name*)."""
-        return LabeledTree._preorder({}, {0: name})
+        return LabeledTree._walked({}, {0: name}, [None], [1])
 
     # -- derived structure -------------------------------------------------
 

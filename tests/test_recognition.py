@@ -14,7 +14,7 @@ from fitchgraph.recognition import (
     recognize_bruteforce,
 )
 
-from conftest import multipartite_via_complement, random_graph
+from conftest import bell_binomial, multipartite_via_complement, random_graph, trees_by_insertion
 
 
 def graph(vertices, edges):
@@ -246,3 +246,50 @@ def test_superlinear_family_witness():
     g = superlinear_family(200, 200)
     assert len(g.adjacency) == 600
     assert recognize(g) == ForbiddenWitness("d00000", ("c00001", "c00003"))
+
+
+def test_theorem_at_six_leaves():
+    """The paper's theorem at six leaves, checked apart from the package's
+    own enumeration: the graphs that {0,1}-trees on six leaves explain are
+    exactly the complete multipartite ones, Bell(6) of them.  The
+    topologies are grown anew by conftest, each labeling's 0-components
+    are found by union-find over its 0-edges, and a graph is a 15-bit mask
+    over the leaf pairs.  Edge sets are compared, not partitions: every
+    partition is realized, so asking only whether the returned blocks are
+    realized could never fail."""
+    names = list("abcdef")
+    pairs = list(combinations(names, 2))
+    topologies = trees_by_insertion(names)
+    realized: set[int] = set()
+    labelings = 0
+    for t in topologies:
+        edges = list(t.edge_labels)
+        at = {name: v for v, name in t.leaf_names.items()}
+        ends = [(at[x], at[y], 1 << i) for i, (x, y) in enumerate(pairs)]
+        for labels in range(1 << len(edges)):
+            link = list(range(len(t.vertices)))  # union-find forest; ids run 0..n-1
+            for j, (u, v) in enumerate(edges):
+                if not labels >> j & 1:
+                    while link[u] != u:
+                        u = link[u]
+                    while link[v] != v:
+                        v = link[v]
+                    link[u] = v
+            comp = []
+            for v in range(len(link)):
+                while link[v] != v:
+                    v = link[v]
+                comp.append(v)
+            realized.add(sum([bit for x, y, bit in ends if comp[x] != comp[y]]))
+            labelings += 1
+    assert len(topologies) == 236
+    assert labelings == 83_904
+    assert len(realized) == bell_binomial(6) == 203
+    accepted = set()
+    for mask in range(1 << len(pairs)):
+        result = recognize(SimpleGraph.build(names, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+        if isinstance(result, Partition):
+            block = {x: i for i, b in enumerate(result.blocks) for x in b}
+            assert sum([1 << i for i, (x, y) in enumerate(pairs) if block[x] != block[y]]) == mask
+            accepted.add(mask)
+    assert accepted == realized
