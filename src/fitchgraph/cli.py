@@ -3,7 +3,12 @@
 Exit codes: 0 = success / accept, 1 = clean reject (graph not multipartite,
 tree does not explain, not least-resolved), 2 = usage or input error.
 Results go to stdout, diagnostics to stderr.  A filename of ``-`` reads
-stdin; input kind (tree vs. graph) is inferred from content.
+stdin.  A file and stdin are both read as bytes and decoded as strict
+UTF-8 with one leading byte-order mark skipped, whatever the locale, so
+the same bytes give the same result either way and invalid UTF-8 exits 2.
+An input is an edge list when ``vertices:`` follows its leading
+whitespace and ``#`` comments (:func:`fitchgraph.io.looks_like_edgelist`),
+else Newick; line ends reach the parsers as written.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from .tree import LabeledTree
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().removeprefix("\ufeff")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("utf-8-sig")
 
 
 def _load_tree(path: str) -> LabeledTree:

@@ -41,7 +41,9 @@ from typing import Collection, NoReturn
 from .graphs import DirectedGraph, SimpleGraph
 from .tree import Edge, LabeledTree, validate  # noqa: F401 (perfbench patches io.validate)
 
-_LINE = re.compile(r"[^\r\n]+")  # a line's text, between LF, CR or CRLF ends
+# One non-blank character and, if it opens a comment, the rest of its line.
+# Starting with a character class lets a search skip whitespace in C.
+_MARK = re.compile(r"\S(?:(?<=#)[^\r\n]*)?")
 _DELIMITERS = "(),:;"  # Newick's one-character tokens, which no name may hold
 _NAME_STOP = {*_DELIMITERS, ""}  # tokens that are not names; '' ends the input
 _LABEL = {"0": 0, "1": 1}  # edge label token -> label; any other token is an error
@@ -219,14 +221,13 @@ def serialize_newick(tree: LabeledTree) -> str:
 
 
 def looks_like_edgelist(text: str) -> bool:
-    """Whether the first line of *text* holding more than blanks and a
-    comment starts with ``vertices:``; reads no further than that line.
-    Lines end at LF, CR or CRLF, as in :func:`parse_edgelist`."""
-    for match in _LINE.finditer(text):
-        line = match[0].split("#", 1)[0].strip()
-        if line:
-            return line.startswith("vertices:")
-    return False
+    """Whether ``vertices:`` follows the leading whitespace and ``#``
+    comments of *text*; reads no further than the first character outside
+    them.  A comment runs to LF or CR, as in :func:`parse_edgelist`, and
+    whitespace is what ``str.isspace`` accepts.  The search yields one
+    match per comment, so no prefix, however long, is copied or held."""
+    first = next((m.start() for m in _MARK.finditer(text) if m[0][0] != "#"), len(text))
+    return text.startswith("vertices:", first)
 
 
 def _edge_lines(text: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Tests for the fitchgraph command-line interface."""
 
+import io
 import os
 import subprocess
 import sys
@@ -18,12 +19,18 @@ K221_TEXT = serialize_edgelist(complete_multipartite([{"a", "b"}, {"c", "d"}, {"
 
 @pytest.fixture
 def run(capsys):
-    def invoke(*argv, stdin=None, monkey=None):
-        if stdin is not None:
-            import io as _io
+    """Call ``main(argv)``; *stdin*, a str (written as UTF-8) or bytes, is
+    fed as the bytes under a text layer like the interpreter's own stdin
+    in the POSIX locale (UTF-8 with surrogateescape, no newline
+    translation)."""
 
+    def invoke(*argv, stdin=None):
+        if stdin is not None:
+            data = stdin.encode() if isinstance(stdin, str) else stdin
             old = sys.stdin
-            sys.stdin = _io.StringIO(stdin)
+            sys.stdin = io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"
+            )
             try:
                 code = main(list(argv))
             finally:
@@ -107,7 +114,7 @@ class TestRecognize:
         assert out == "witness: a | b--c\n"
 
     def test_cr_only_stdin(self, run):
-        # stdin does not translate a lone CR, so the format sniff must.
+        # Nothing translates a lone CR on the way in, so the format sniff must.
         code, out, _ = run("recognize", "-", stdin="# c\rvertices: a b\ra b\r")
         assert (code, out) == (0, "blocks: {a} {b}\n")
 
@@ -150,6 +157,62 @@ class TestByteOrderMark:
     def test_tree_stdin(self, run):
         code, out, _ = run("compute", "-", stdin="\ufeff" + self.TREE)
         assert (code, out) == (0, "vertices: a b c\na b\na c\nb c\n")
+
+
+# The same bytes as a tree and as a graph, with the exit code each gives:
+# invalid UTF-8, one leading byte-order mark, CR-only and CRLF line ends
+# (with a fault whose offset or line counts each as one character), and
+# U+3000 between tokens.
+PARITY_CASES = {
+    "invalid-utf8": ((b"(a:0,b\xff:1)r;\n", 2), (b"vertices: a b\xff\na b\xff\n", 2)),
+    "bom": ((b"\xef\xbb\xbf((a:0,b:1):1,c:0)r;\n", 0), (b"\xef\xbb\xbfvertices: a b\na b\n", 0)),
+    "cr": ((b"((a:0,b:0):1,\r(c:0,d:1):0)r;\r", 0), (b"# c\rvertices: a b c\ra b\rb c\r", 0)),
+    "cr-fault": ((b"(a:1)\r\ra;", 2), (b"vertices: a b\r\ra b\rb a\r", 2)),
+    "crlf": (
+        (b"( (a:0,\tb:0):1,\r\n(c:0 ,d:1):0\t)r;\r\n", 0),
+        (b"# c\r\nvertices: a b c\r\na b\r\nb c\r\n", 0),
+    ),
+    "crlf-fault": ((b"(a:0,\r\n\xe3\x80\x80b:2);\n", 2), (b"vertices: a b\r\na b\r\nb a\r\n", 2)),
+    "u3000": (
+        (b"(a:0,\xe3\x80\x80b:1)\xe3\x80\x80r;", 0),
+        (b"vertices:\xe3\x80\x80a b\na\xe3\x80\x80b\n", 0),
+    ),
+}
+
+
+class TestStdinFileParity:
+    # A file and stdin are the same bytes to the CLI: each command gives the
+    # same output, diagnostics and exit code whichever way they arrive.
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    @pytest.mark.parametrize(
+        "command,kind", [("compute", 0), ("recognize", 1), ("dot", 0), ("dot", 1)]
+    )
+    def test_same_result(self, run, tmp_path, case, command, kind):
+        data, code = PARITY_CASES[case][kind]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        from_file = run(command, str(path))
+        assert from_file[0] == code, from_file
+        assert run(command, "-", stdin=data) == from_file
+
+    def test_invalid_utf8_message(self, run):
+        code, out, err = run("compute", "-", stdin=b"(a:0,b\xff:1)r;\n")
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+
+    def test_stdin_ignores_the_locale_codec(self, tmp_path):
+        # The interpreter's stdin text layer decodes with PYTHONIOENCODING;
+        # the CLI reads the bytes beneath it, as it reads a file's.
+        data = b"\xef\xbb\xbf(a:0,\r\n\xe3\x80\x80b:1,\xc3\xa9:1)r;\r\n"
+        path = tmp_path / "t.nwk"
+        path.write_bytes(data)
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1"}
+        argv = [sys.executable, "-m", "fitchgraph.cli", "compute"]
+        from_file = subprocess.run([*argv, str(path)], capture_output=True, env=env)
+        from_stdin = subprocess.run([*argv, "-"], input=data, capture_output=True, env=env)
+        want = "vertices: a b \xe9\na b\na \xe9\nb \xe9\n".encode("latin-1")
+        assert (from_file.returncode, from_file.stdout, from_file.stderr) == (0, want, b"")
+        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (0, want, b"")
 
 
 class TestUnwritableNames:

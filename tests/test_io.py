@@ -448,6 +448,10 @@ class TestLooksLikeEdgelist:
             ("# c\rvertices: a b\ra b\r", True),
             ("\r\r \t\rvertices: a\r", True),
             ("# c\r(a:0,b:0)r;\r", False),
+            ("\x0c vertices: a\n", True),
+            ("\x85vertices: a\n", True),
+            ("# c\x85vertices: a\n", False),
+            ("# c\r\tvertices: a", True),
         ],
     )
     def test_verdicts(self, text, verdict):

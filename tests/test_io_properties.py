@@ -1,6 +1,7 @@
 """Hypothesis properties of edge-list and Newick parsing and serialization."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from fitchgraph.io import (
     ParseError,
     _normalize,
     _tokens,
+    looks_like_edgelist,
     parse_edgelist,
     parse_newick,
     serialize_arclist,
@@ -240,6 +242,29 @@ class TestEdgeListProperties:
             assert (err.value.message, err.value.line) == expected
         else:
             assert parse_edgelist(text) == SimpleGraph.build(g.vertices, expected)
+
+
+# Header pieces, comments, line ends, whitespace that does not end a line
+# (U+000B, U+000C, U+001C, U+0085, U+2028, U+3000), and other text.
+SNIFF_PIECES = ["vertices:", "vertices", "# vertices:", "#", "\r", "\n", "\r\n", " ", "\t",
+                "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000", "a", "(", "x y"]
+
+
+def looks_like_edgelist_by_lines(text):
+    """The sniff written line by line: the first line with more than
+    whitespace before its comment starts with ``vertices:``."""
+    for line in re.split(r"\r\n|\r|\n", text):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            return line.startswith("vertices:")
+    return False
+
+
+class TestSniffProperties:
+    @settings(derandomize=True, max_examples=1000)
+    @given(st.lists(st.sampled_from(SNIFF_PIECES), max_size=12).map("".join))
+    def test_agrees_with_the_line_reading(self, text):
+        assert looks_like_edgelist(text) is looks_like_edgelist_by_lines(text)
 
 
 def unwritable(names, stops):

@@ -144,9 +144,14 @@ def main(argv: list[str]) -> int:
     gaps, accepted, keys = [], set(), set()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "perfbench"):
+        for part in ("src", "tests", "perfbench", "tools"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy(ROOT / name, work)
+        # A wider suite that fails unmutated would count every survivor as killed.
+        if not run_pytest(work, WIDER, timeout=600)[0]:
+            print("the wider suite fails on the unmutated package")
+            return 2
         for module in modules:
             path = work / "src" / "fitchgraph" / f"{module}.py"
             source = path.read_text()
